@@ -31,7 +31,7 @@ import numpy as np
 
 from . import sim
 from .amplify import grover_probability
-from .circuit import Circuit
+from .circuit import Circuit, Gate
 from .gf2 import BitMatrix, BitVector, nullspace_basis, rank
 from .counting import CountReport, count_rank_n_minus_1, rank_deficit_one_formula
 from .oracles import FxOracle, build_simon_oracle, y_marginal
@@ -78,7 +78,7 @@ class GmsConfig:
 
     def required_qubits(self) -> int:
         """Registers that hold state across an iteration: data + solution + flag."""
-        return self.data_qubits + self.n + 1
+        return required_qubits(self.m, self.n, self.l)
 
     def layout(self) -> tuple[list[int], list[list[int]], list[list[int]]]:
         key = list(range(self.m))
@@ -88,6 +88,11 @@ class GmsConfig:
             ys.append(list(range(base, base + self.n)))
             fs.append(list(range(base + self.n, base + 2 * self.n)))
         return key, ys, fs
+
+
+def required_qubits(m: int, n: int, l: int) -> int:
+    """Qubit need m + 2nl + n + 1 of a config, checked against the cap."""
+    return m + 2 * n * l + n + 1
 
 
 def _check_cap(cfg: GmsConfig) -> None:
@@ -224,34 +229,21 @@ def build_gms_circuit(cfg: GmsConfig) -> tuple[Circuit, dict[str, tuple[int, int
     """
     key, ys, fs = cfg.layout()
     n = cfg.n
-    circ = Circuit(cfg.data_qubits)
+    # the prep slice is prep_circuit itself, so prepare_initial_state is
+    # exactly the state the circuit's rounds start from
+    circ = prep_circuit(cfg)
     bld = _Builder(circ)
 
-    slices: dict[str, tuple[int, int]] = {}
+    slices: dict[str, tuple[int, int]] = {"prep": (0, len(circ.gates))}
 
     def mark(name, start):
         slices[name] = (start, len(circ.gates))
-
-    # --- prep
-    start = len(circ.gates)
-    for q in key:
-        circ.h(q)
-    for j in range(cfg.l):
-        for q in ys[j]:
-            circ.h(q)
-        circ.oracle_block("f", cfg.oracle, ins=key + ys[j], outs=fs[j])
-        for q in ys[j]:
-            circ.h(q)
-    mark("prep", start)
 
     # --- compute: kernel extraction plus plaintext checks
     start = len(circ.gates)
     s_out = [bld.fresh() for _ in range(n)]
     flag = bld.fresh()
-    circ.registers = dict(circ.registers or {})
-    circ.registers.update(
-        {"key": tuple(key), "s": tuple(s_out), "flag": (flag,)}
-    )
+    circ.registers = {"key": tuple(key), "s": tuple(s_out), "flag": (flag,)}
     for j in range(cfg.l):
         circ.registers[f"y{j}"] = tuple(ys[j])
         circ.registers[f"f{j}"] = tuple(fs[j])
@@ -331,20 +323,79 @@ def _slice(circ: Circuit, lo: int, hi: int) -> Circuit:
     return piece
 
 
-def run_gms(cfg: GmsConfig, t_max: int | None = None, engine: str = "sparse") -> list[float]:
+def _check_round(
+    cfg: GmsConfig,
+    circ: Circuit,
+    slices: dict[str, tuple[int, int]],
+    flip: np.ndarray,
+    amps: np.ndarray,
+) -> None:
+    """Prove that one round of ``circ`` is the operator ``run_gms`` applies.
+
+    That operator negates the data states on ``flip`` and then reflects
+    the data register about its mean. Compute and uncompute are
+    permutations, so pushing every data input through them settles the
+    phase flip exactly; the diffusion slice is checked on ``amps``.
+
+    Raises:
+        RuntimeError: naming the first slice that does something else.
+    """
+    accept = circ.registers["accept"][0]
+    data = np.arange(1 << cfg.data_qubits, dtype=np.int64)
+    lo, hi = slices["compute"]
+    out = sim.run_basis_batch(circ.gates[lo:hi], circ.oracles, data)
+    if not np.array_equal((out >> accept) & 1 == 1, flip):
+        raise RuntimeError("accept qubit disagrees with the classifier mask")
+    lo, hi = slices["uncompute"]
+    if not np.array_equal(sim.run_basis_batch(circ.gates[lo:hi], circ.oracles, out), data):
+        raise RuntimeError("scratch register failed to uncompute")
+    lo, hi = slices["phase"]
+    z = [Gate("H", (accept,)), Gate("X", (accept,)), Gate("H", (accept,))]
+    if circ.gates[lo:hi] != z:
+        raise RuntimeError("phase slice is not Z on the accept qubit")
+    lo, hi = slices["diffusion"]
+    if any(max(g.qubits) >= cfg.data_qubits for g in circ.gates[lo:hi]):
+        raise RuntimeError("diffusion slice leaves the data register")
+    diffusion = Circuit(cfg.data_qubits, gates=circ.gates[lo:hi])
+    got = sim.run(diffusion, state=sim.StateVector(cfg.data_qubits, amps)).amps
+    if np.max(np.abs(got - (amps - 2.0 * amps.mean()))) > 1e-12:
+        raise RuntimeError("diffusion slice is not the reflection about the mean")
+
+
+def run_gms(
+    cfg: GmsConfig, t_max: int | None = None, engine: str = "operator"
+) -> list[float]:
     """Exact success probability of the deferred-measurement search.
 
     Returns the probability of measuring the correct key together with
     accepted y rows, for iteration counts t = 0..t_max. No measurement
     happens along the way; t = 0 is the freshly prepared state.
+
+    The default ``"operator"`` engine first proves that one round of
+    ``build_gms_circuit`` is a sign flip on ``classifier_mask`` followed
+    by a reflection about the data-register mean, then applies that
+    operator directly. ``"sparse"`` and ``"dense"`` run the circuit gate
+    by gate; they are the references the operator engine is tested
+    against.
     """
-    if engine not in ("sparse", "dense"):
+    if engine not in ("operator", "sparse", "dense"):
         raise ValueError(f"unknown engine {engine!r}")
     _check_cap(cfg)
     t_iters = cfg.t if t_max is None else t_max
     circ, slices = build_gms_circuit(cfg)
     success = success_mask(cfg)
     data_size = 1 << cfg.data_qubits
+
+    if engine == "operator":
+        amps = prepare_initial_state(cfg).amps
+        flip = classifier_mask(cfg)
+        _check_round(cfg, circ, slices, flip, amps)
+        curve = [float(np.sum(np.abs(amps[success]) ** 2))]
+        for _ in range(t_iters):
+            amps[flip] *= -1.0
+            amps = 2.0 * amps.mean() - amps
+            curve.append(float(np.sum(np.abs(amps[success]) ** 2)))
+        return curve
 
     def marked_mass_sparse(state):
         scratch = 0.0

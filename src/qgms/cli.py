@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, sim, synth, verify
-from .analysis import GmsConfig, analysis_report
+from .analysis import GmsConfig, analysis_report, required_qubits
 from .circuit import resource_profile
 from .oracles import ZeroWhiteningKey, build_fx_oracle
 
@@ -103,7 +103,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def cmd_gms(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.m < 1 or args.n < 1 or args.l < 1:
         parser.error("--m, --n and --l must be positive")
-    need = args.m + 2 * args.n * args.l + args.n + 1
+    need = required_qubits(args.m, args.n, args.l)
     cap = sim.qubit_cap()
     if need > cap:
         print(
@@ -181,6 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        sim.qubit_cap()
+    except ValueError as exc:
+        print(f"qgms: error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "synth":
         return cmd_synth(args, parser)
     if args.command == "verify":

@@ -16,6 +16,12 @@ Three engines share the encoding:
 * ``run_basis`` pushes a single computational basis state through a
   permutation-only circuit as one integer. This is what makes exhaustive
   truth-table tests of the big reversible constructions cheap.
+
+``run_basis_batch`` is the batched form of the basis tracker: it pushes
+an int64 array of basis indices through a permutation-only gate list with
+numpy bit operations, one vector step per gate, so a whole truth table
+costs one call. The search analysis uses it to prove, once per
+configuration, what one amplification round does to every basis input.
 """
 
 from __future__ import annotations
@@ -48,9 +54,12 @@ def qubit_cap() -> int:
     raw = os.environ.get("QGMS_QUBIT_CAP")
     if raw is None:
         return DEFAULT_QUBIT_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError("qubit cap must be positive")
+        raise ValueError(f"QGMS_QUBIT_CAP must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -384,6 +393,46 @@ def run_basis(circ: Circuit, bits: int) -> int:
                     bits ^= 1 << t
         else:
             raise ValueError(f"{kind} is not a permutation gate")
+    return bits
+
+
+def run_basis_batch(
+    gates: list[Gate], oracles: dict[str, object], bits: np.ndarray
+) -> np.ndarray:
+    """Track an array of basis states through permutation-only gates.
+
+    ``bits`` holds basis indices; the result is a new int64 array with
+    entry i the image of ``bits[i]``, as ``run_basis`` would compute it.
+
+    Raises:
+        ValueError: on H, S, T or TDG, which do not permute basis states,
+            or on a gate past qubit 62, which int64 indices cannot hold.
+    """
+    bits = np.array(bits, dtype=np.int64)
+    tables: dict[str, np.ndarray] = {}
+    for gate in gates:
+        kind = gate.kind
+        if kind not in ("X", "CNOT", "TOFFOLI", "MCX", "ORACLE"):
+            raise ValueError(f"{kind} is not a permutation gate")
+        if max(gate.qubits) > 62:
+            raise ValueError("int64 basis indices hold at most 63 qubits")
+        if kind == "ORACLE":
+            name = gate.name or ""
+            if name not in tables:
+                tables[name] = np.asarray(
+                    _oracle_table(_oracle_fn(oracles, gate), len(gate.controls)),
+                    dtype=np.int64,
+                )
+            in_val = np.zeros_like(bits)
+            for j, c in enumerate(gate.controls):
+                in_val |= ((bits >> c) & 1) << j
+            delta = tables[name][in_val]
+            for j, t in enumerate(gate.targets):
+                bits ^= ((delta >> j) & 1) << t
+        else:
+            cmask = _control_mask(gate)
+            hit = (bits & cmask) == cmask
+            np.bitwise_xor(bits, 1 << gate.targets[0], out=bits, where=hit)
     return bits
 
 

@@ -9,8 +9,8 @@ Five suites cover the package layer by layer:
 - counting: the rank-deficit-one matrix count, brute force vs formula.
 - deferred: measure-then-solve vs solve-then-measure distributions.
 - gms: character sums, the amplification baseline, the iteration
-  estimate, the reference whitening-key search run, and the query-ratio
-  bound.
+  estimate, the reference whitening-key search run, its operator curve
+  against the per-gate sparse engine, and the query-ratio bound.
 
 Each suite returns a SuiteResult holding named checks with pass flags
 and details, so the command line can print them and the tests can
@@ -411,6 +411,14 @@ def suite_gms() -> SuiteResult:
         gap_ok,
         f"deferred peak {peak:.6f} vs ceiling {stats.p_max:.6f}; "
         f"immediate baseline {hyb.success:.3f}",
+    )
+
+    per_gate = run_gms(cfg, t_max=3, engine="sparse")
+    drift = max(abs(a - b) for a, b in zip(curve, per_gate))
+    res.add(
+        "operator_matches_per_gate",
+        drift <= 1e-12,
+        f"operator vs per-gate sparse curve, t <= 3: max diff {drift:.2e}",
     )
 
     ok = True

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qgms import sim
+from qgms import analysis, sim
 from qgms.analysis import (
     AmplitudeStats,
     DegenerateUnmarkedMean,
@@ -207,11 +207,53 @@ def test_curve_respects_ceiling_and_stays_low():
 def test_engines_agree():
     fx = build_fx_oracle(m=2, n=2, key=1, k1=3, k2=1, cipher_seed=72)
     cfg = GmsConfig(2, 2, 1, fx)
+    operator = run_gms(cfg, t_max=3, engine="operator")
     sparse = run_gms(cfg, t_max=3, engine="sparse")
     dense = run_gms(cfg, t_max=3, engine="dense")
+    assert operator == pytest.approx(sparse, abs=1e-12)
+    assert operator == pytest.approx(dense, abs=1e-12)
     assert sparse == pytest.approx(dense, abs=1e-12)
     with pytest.raises(ValueError):
         run_gms(cfg, engine="fast")
+
+
+def test_round_proof_rejects_a_wrong_accept_bit(monkeypatch):
+    real = analysis.classifier_mask
+
+    def one_entry_flipped(cfg):
+        mask = real(cfg).copy()
+        mask[0] = not mask[0]
+        return mask
+
+    monkeypatch.setattr(analysis, "classifier_mask", one_entry_flipped)
+    with pytest.raises(RuntimeError, match="classifier mask"):
+        run_gms(fixture_cfg(), t_max=1)
+
+
+@pytest.mark.parametrize(
+    "piece, offset, message",
+    [
+        ("uncompute", 0, "scratch register failed to uncompute"),
+        ("phase", 1, "phase slice"),
+        ("diffusion", 0, "diffusion slice"),
+    ],
+)
+def test_round_proof_rejects_a_missing_gate(monkeypatch, piece, offset, message):
+    real = analysis.build_gms_circuit
+
+    def circuit_missing_a_gate(cfg):
+        circ, slices = real(cfg)
+        gone = slices[piece][0] + offset
+        del circ.gates[gone]
+        shifted = {
+            name: (lo - (lo > gone), hi - (hi > gone))
+            for name, (lo, hi) in slices.items()
+        }
+        return circ, shifted
+
+    monkeypatch.setattr(analysis, "build_gms_circuit", circuit_missing_a_gate)
+    with pytest.raises(RuntimeError, match=message):
+        run_gms(fixture_cfg(), t_max=1)
 
 
 def test_search_circuit_keeps_scratch_clean():

@@ -78,6 +78,23 @@ def test_gms_cap_exceeded(tmp_path):
     assert "cap" in proc.stderr
 
 
+@pytest.mark.parametrize("cap", ["abc", "0"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synth", "qge", "--n", "3"],
+        ["verify", "counting"],
+        ["gms", "--m", "1", "--n", "2", "--l", "1"],
+    ],
+)
+def test_bad_qubit_cap_is_a_usage_error(tmp_path, args, cap):
+    proc = run_cli(args, tmp_path, {"QGMS_QUBIT_CAP": cap})
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert "QGMS_QUBIT_CAP" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_gms_report_and_reproducibility(tmp_path):
     args = ["gms", "--m", "2", "--n", "2", "--l", "2", "--t-max", "4", "--seed", "7"]
     env = {"SOURCE_DATE_EPOCH": "1700000000"}

@@ -17,6 +17,7 @@ from qgms.sim import (
     pack_bits,
     run,
     run_basis,
+    run_basis_batch,
     run_sparse,
     sparse_marginal,
     sparse_to_dense,
@@ -106,6 +107,10 @@ def test_qubit_cap_enforced(monkeypatch):
     run(Circuit(4))  # at the cap is fine
     monkeypatch.delenv("QGMS_QUBIT_CAP")
     run(Circuit(5))
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("QGMS_QUBIT_CAP", bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            run(Circuit(1))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +160,17 @@ def test_basis_tracker_rejects_hadamard():
     c.h(0)
     with pytest.raises(ValueError):
         run_basis(c, 0)
+
+
+def test_batched_tracker_rejects_non_permutations_and_wide_gates():
+    c = Circuit(1)
+    c.h(0)
+    with pytest.raises(ValueError, match="not a permutation gate"):
+        run_basis_batch(c.gates, {}, np.zeros(1, dtype=np.int64))
+    wide = Circuit(64)
+    wide.x(63)
+    with pytest.raises(ValueError, match="63 qubits"):
+        run_basis_batch(wide.gates, {}, np.zeros(1, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
