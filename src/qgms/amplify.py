@@ -10,6 +10,7 @@ simulated loop against.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -35,6 +36,23 @@ def _as_mask(marked, size: int) -> np.ndarray:
     return np.isin(np.arange(size), list(marked))
 
 
+def _iterates(prep: Circuit, marked, initial: StateVector | None):
+    """Yield (mask, amps) after t = 0, 1, 2, ... iterations.
+
+    The next step negates the marked entries of the yielded array in
+    place, so read it before advancing.
+    """
+    anchor = run(prep)
+    state = anchor if initial is None else initial
+    mask = _as_mask(marked, len(anchor.amps))
+    amps = state.amps.copy()
+    ref = anchor.amps
+    while True:
+        yield mask, amps
+        amps[mask] *= -1.0
+        amps = 2.0 * np.vdot(ref, amps) * ref - amps
+
+
 def amplitude_amplify(
     prep: Circuit,
     marked,
@@ -49,32 +67,16 @@ def amplitude_amplify(
     from a different state than the one being reflected about, which is
     how amplification from an arbitrary starting state is modelled.
     """
-    anchor = run(prep)
-    state = anchor if initial is None else initial
-    mask = _as_mask(marked, len(anchor.amps))
-    amps = state.amps.copy()
-    ref = anchor.amps
-    for _ in range(iterations):
-        amps[mask] *= -1.0
-        amps = 2.0 * np.vdot(ref, amps) * ref - amps
-    return StateVector(anchor.qubit_count, amps)
+    _, amps = next(islice(_iterates(prep, marked, initial), iterations, None))
+    return StateVector(prep.qubit_count, amps)
 
 
 def success_curve(
     prep: Circuit, marked, t_max: int, initial: StateVector | None = None
 ) -> list[float]:
     """Marked-subspace probability after t = 0..t_max iterations."""
-    anchor = run(prep)
-    state = anchor if initial is None else initial
-    mask = _as_mask(marked, len(anchor.amps))
-    amps = state.amps.copy()
-    ref = anchor.amps
-    out = [float(np.sum(np.abs(amps[mask]) ** 2))]
-    for _ in range(t_max):
-        amps[mask] *= -1.0
-        amps = 2.0 * np.vdot(ref, amps) * ref - amps
-        out.append(float(np.sum(np.abs(amps[mask]) ** 2)))
-    return out
+    steps = islice(_iterates(prep, marked, initial), t_max + 1)
+    return [float(np.sum(np.abs(amps[mask]) ** 2)) for mask, amps in steps]
 
 
 def uniform_prep(qubits: int) -> Circuit:

@@ -32,7 +32,7 @@ import numpy as np
 from . import sim
 from .amplify import grover_probability
 from .circuit import Circuit, Gate
-from .gf2 import BitMatrix, BitVector, nullspace_basis, rank
+from .gf2 import BitMatrix, BitVector, nullspace_basis, parity, rank
 from .counting import CountReport, count_rank_n_minus_1, rank_deficit_one_formula
 from .oracles import FxOracle, build_simon_oracle, y_marginal
 from .synth import _Builder, kernel_core
@@ -509,7 +509,7 @@ def two_to_one_model(m: int, n: int, l: int) -> dict:
     (their correct-key residual is constant), which is why these numbers
     are reported alongside, not instead of, the exact statistics.
     """
-    hyperplane = [x for x in range(1 << n) if bin(x & 1).count("1") % 2 == 0]
+    hyperplane = [x for x in range(1 << n) if parity(x & 1) == 0]
     matrices = 0
     for rows in product(hyperplane, repeat=l):
         if rank(BitMatrix(l, n, tuple(rows))) == n - 1:
@@ -573,7 +573,7 @@ def character_sum(ys, n: int) -> int:
         yv = y.bits if isinstance(y, BitVector) else int(y)
         inner = 0
         for x in range(1 << n):
-            inner += -1 if bin(x & yv).count("1") % 2 else 1
+            inner += -1 if parity(x & yv) else 1
         total *= inner
     return total
 
@@ -592,7 +592,7 @@ def coset_character_sum(y, n: int, s: int) -> int:
     for x in range(1 << n):
         if (x >> pivot) & 1:
             continue
-        total += -1 if bin(x & yv).count("1") % 2 else 1
+        total += -1 if parity(x & yv) else 1
     return total
 
 
@@ -737,7 +737,7 @@ def deferred_vs_immediate(n: int, l: int, s: int, seed: int = 0) -> DeferredComp
         abs(dist_immediate.get(k, 0.0) - dist_deferred.get(k, 0.0)) for k in keys
     )
 
-    hyperplane = [x for x in range(1 << n) if bin(x & s).count("1") % 2 == 0]
+    hyperplane = [x for x in range(1 << n) if parity(x & s) == 0]
     r = sum(
         1
         for rows in product(hyperplane, repeat=l)
@@ -773,7 +773,7 @@ def hybrid_accept(k_prime: int, rows, oracle: FxOracle, plaintexts) -> int:
     """
     n = oracle.n
     for cand in range(1, 1 << n):
-        if any(bin(row & cand).count("1") % 2 for row in rows):
+        if any(parity(row & cand) for row in rows):
             continue
         if all(
             oracle.residual(k_prime, p) == oracle.residual(k_prime, p ^ cand)

@@ -201,27 +201,35 @@ class Circuit:
         return "\n".join(lines) + "\n"
 
 
-def resource_profile(circ: Circuit) -> ResourceProfile:
-    """Cost the circuit under the Clifford+T expansion convention."""
+def gate_tally(gates: list[Gate]) -> tuple[int, int]:
+    """Pre-expansion (raw_cnot, toffoli) of a gate list.
+
+    A k-controlled X counts as its ladder CNOT plus 2(k-1) Toffolis.
+    """
     raw_cnot = 0
     toffoli = 0
-    mcx_cnot = 0
-    peak_ladder = 0
-    for g in circ.gates:
+    for g in gates:
         if g.kind == "CNOT":
             raw_cnot += 1
         elif g.kind == "TOFFOLI":
             toffoli += 1
         elif g.kind == "MCX":
-            k = len(g.controls)
-            toffoli += 2 * (k - 1)
-            mcx_cnot += 1
-            peak_ladder = max(peak_ladder, k - 1)
+            toffoli += 2 * (len(g.controls) - 1)
+            raw_cnot += 1
+    return raw_cnot, toffoli
+
+
+def resource_profile(circ: Circuit) -> ResourceProfile:
+    """Cost the circuit under the Clifford+T expansion convention."""
+    raw_cnot, toffoli = gate_tally(circ.gates)
+    peak_ladder = max(
+        (len(g.controls) - 1 for g in circ.gates if g.kind == "MCX"), default=0
+    )
     return ResourceProfile(
-        cnot=raw_cnot + mcx_cnot + TOFFOLI_CNOT_COUNT * toffoli,
+        cnot=raw_cnot + TOFFOLI_CNOT_COUNT * toffoli,
         toffoli=toffoli,
         t_depth=TOFFOLI_T_DEPTH * toffoli,
         ancilla=circ.ancilla_count + peak_ladder,
         total_qubits=circ.qubit_count + peak_ladder,
-        raw_cnot=raw_cnot + mcx_cnot,
+        raw_cnot=raw_cnot,
     )

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf2 import parity
+
 
 class EnumerationTooLarge(Exception):
     """Brute-force enumeration of 2^((n-1)n) matrices refused for n > 5."""
@@ -57,7 +59,7 @@ def relaxation_bound(n: int) -> int:
 
 
 def _hyperplane(n: int, s: int) -> list[int]:
-    return [x for x in range(1 << n) if bin(x & s).count("1") % 2 == 0]
+    return [x for x in range(1 << n) if parity(x & s) == 0]
 
 
 def brute_count_rank_n_minus_1(n: int, s: int = 1) -> int:

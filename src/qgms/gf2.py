@@ -14,7 +14,8 @@ class SingularMatrix(Exception):
     """Raised when a unique solution is requested for a singular system."""
 
 
-def _parity(x: int) -> int:
+def parity(x: int) -> int:
+    """Parity of the set bits of ``x``: the GF(2) sum of its entries."""
     return x.bit_count() & 1
 
 
@@ -57,7 +58,7 @@ class BitVector:
         """Inner product over GF(2)."""
         if self.length != other.length:
             raise ValueError("length mismatch")
-        return _parity(self.bits & other.bits)
+        return parity(self.bits & other.bits)
 
 
 @dataclass
@@ -128,7 +129,7 @@ class BitMatrix:
             raise ValueError("dimension mismatch")
         bits = 0
         for i, r in enumerate(self.row_bits):
-            if _parity(r & x.bits):
+            if parity(r & x.bits):
                 bits |= 1 << i
         return BitVector(self.rows, bits)
 

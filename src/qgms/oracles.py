@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit
+from .gf2 import parity
 from . import sim
 
 
@@ -164,7 +165,7 @@ def y_marginal(table: list[int] | tuple[int, ...], n: int) -> list[float]:
         total = 0.0
         by_value: dict[int, int] = {}
         for x in range(size):
-            sign = -1 if bin(x & y).count("1") % 2 else 1
+            sign = -1 if parity(x & y) else 1
             by_value[table[x]] = by_value.get(table[x], 0) + sign
         for acc in by_value.values():
             total += float(acc * acc)

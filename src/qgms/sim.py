@@ -5,22 +5,28 @@ the value of qubit k. A matrix register laid out as qubit i*cols + j for
 entry (i, j) therefore packs to the same integer as its BitMatrix rows
 concatenated, which the tests lean on heavily.
 
-Three engines share the encoding:
+Every permutation gate (X, CNOT, TOFFOLI, MCX, ORACLE) is simulated by
+one kernel, ``run_basis_batch``. It pushes an array of basis indices
+through a run of such gates with numpy bit operations, one vector step
+per gate. Indices are int64, or Python ints in an object array once a
+state or gate reaches past qubit 62. Two engines sit on top of it and
+keep their own code only for H, S, T and TDG:
 
-* ``run`` evolves a dense numpy amplitude vector and handles every gate
-  kind. Memory is 2^q complex doubles, so a configurable qubit cap guards
-  against accidental blowups.
-* ``run_sparse`` keeps a dict of nonzero amplitudes. Circuits whose
-  support stays polynomial (few Hadamards, mostly permutation gates) run
-  far beyond the dense cap.
-* ``run_basis`` pushes a single computational basis state through a
-  permutation-only circuit as one integer. This is what makes exhaustive
-  truth-table tests of the big reversible constructions cheap.
+* ``run`` evolves a dense numpy amplitude vector (or a 2-D batch of
+  them, one state per column). Each maximal run of permutation gates
+  becomes one scatter of the amplitudes to the kernel's images of all
+  indices; H and the phase gates act on a reshaped view that puts the
+  target qubit on its own axis. Memory is 2^q complex doubles, so a
+  configurable qubit cap guards against accidental blowups.
+* ``run_sparse`` keeps a dict of nonzero amplitudes. A permutation run
+  relabels its keys in one kernel call and keeps the dict's order.
+  Circuits whose support stays polynomial (few Hadamards, mostly
+  permutation gates) run far beyond the dense cap, at any width.
 
-``run_basis_batch`` is the batched form of the basis tracker: it pushes
-an int64 array of basis indices through a permutation-only gate list with
-numpy bit operations, one vector step per gate, so a whole truth table
-costs one call. The search analysis uses it to prove, once per
+``run_basis`` tracks a single basis state as one integer, gate by gate.
+It is the scalar reference the kernel is tested against, and it makes
+exhaustive truth-table tests of the big reversible constructions cheap.
+The search analysis uses ``run_basis_batch`` to prove, once per
 configuration, what one amplification round does to every basis input.
 """
 
@@ -39,6 +45,8 @@ DEFAULT_QUBIT_CAP = 24
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _T_PHASE = cmath.exp(1j * math.pi / 4)
+_PHASES = {"S": 1j, "T": _T_PHASE, "TDG": _T_PHASE.conjugate()}
+_PERMUTATION_KINDS = frozenset({"X", "CNOT", "TOFFOLI", "MCX", "ORACLE"})
 
 
 class QubitCapExceeded(Exception):
@@ -158,10 +166,15 @@ def run(
     else:
         amps = np.zeros(1 << q, dtype=np.complex128)
         amps[initial] = 1.0
-    base = np.arange(1 << q, dtype=np.int64)
-    tables: dict[str, list[int]] = {}
-    for gate in circ.gates:
-        amps = _dense_apply(amps, base, circ, gate, tables)
+    for seg in _segments(circ.gates):
+        if isinstance(seg, list):
+            index = np.arange(1 << q, dtype=np.int64)
+            dest = run_basis_batch(seg, circ.oracles, index)
+            moved = np.empty_like(amps)
+            moved[dest] = amps
+            amps = moved
+        else:
+            amps = _dense_apply(amps, seg)
     return StateVector(q, amps)
 
 
@@ -172,53 +185,33 @@ def _control_mask(gate: Gate) -> int:
     return mask
 
 
-def _dense_apply(
-    amps: np.ndarray,
-    base: np.ndarray,
-    circ: Circuit,
-    gate: Gate,
-    tables: dict[str, list[int]],
-) -> np.ndarray:
+def _segments(gates: list[Gate]):
+    """Yield each maximal run of permutation gates as a list, any other gate alone."""
+    run: list[Gate] = []
+    for gate in gates:
+        if gate.kind in _PERMUTATION_KINDS:
+            run.append(gate)
+            continue
+        if run:
+            yield run
+            run = []
+        yield gate
+    if run:
+        yield run
+
+
+def _dense_apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply one H, S, T or TDG; axis 1 of the view is the target qubit."""
     kind = gate.kind
-    if kind in ("X", "CNOT", "TOFFOLI", "MCX"):
-        t_bit = 1 << gate.targets[0]
-        cmask = _control_mask(gate)
-        sel = base[
-            ((base & cmask) == cmask) & ((base & t_bit) == 0)
-        ]
-        flip = sel ^ t_bit
-        amps[sel], amps[flip] = amps[flip], amps[sel]
-        return amps
+    view = amps.reshape(-1, 2, 1 << gate.targets[0], *amps.shape[1:])
     if kind == "H":
-        t_bit = 1 << gate.targets[0]
-        lo = base[(base & t_bit) == 0]
-        hi = lo ^ t_bit
-        a0 = amps[lo]
-        a1 = amps[hi]
-        amps[lo] = (a0 + a1) * _SQRT_HALF
-        amps[hi] = (a0 - a1) * _SQRT_HALF
-        return amps
-    if kind in ("S", "T", "TDG"):
-        t_bit = 1 << gate.targets[0]
-        phase = {"S": 1j, "T": _T_PHASE, "TDG": _T_PHASE.conjugate()}[kind]
-        amps[(base & t_bit) != 0] *= phase
-        return amps
-    if kind == "ORACLE":
-        name = gate.name or ""
-        if name not in tables:
-            tables[name] = _oracle_table(
-                _oracle_fn(circ.oracles, gate), len(gate.controls)
-            )
-        table = np.asarray(tables[name], dtype=np.int64)
-        in_val = np.zeros_like(base)
-        for j, c in enumerate(gate.controls):
-            in_val |= ((base >> c) & 1) << j
-        delta = table[in_val]
-        xor = np.zeros_like(base)
-        for j, t in enumerate(gate.targets):
-            xor |= ((delta >> j) & 1) << t
-        return amps[base ^ xor]
-    raise ValueError(f"unhandled gate kind {kind}")
+        a0, a1 = view[:, 0], view[:, 1]
+        view[:, 0], view[:, 1] = (a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF
+    elif kind in _PHASES:
+        view[:, 1] *= _PHASES[kind]
+    else:
+        raise ValueError(f"unhandled gate kind {kind}")
+    return view.reshape(amps.shape)
 
 
 def full_distribution(state: StateVector, qubits: list[int]) -> np.ndarray:
@@ -293,19 +286,21 @@ def sparse_apply(
     oracles: dict[str, object],
     prune: float = 1e-13,
 ) -> dict[int, complex]:
-    """Apply a gate list to a sparse state; returns a new dict."""
-    tables: dict[str, list[int]] = {}
-    for gate in gates:
-        kind = gate.kind
-        if kind in ("X", "CNOT", "TOFFOLI", "MCX"):
-            t_bit = 1 << gate.targets[0]
-            cmask = _control_mask(gate)
-            state = {
-                (k ^ t_bit if (k & cmask) == cmask else k): a
-                for k, a in state.items()
-            }
-        elif kind == "H":
-            t_bit = 1 << gate.targets[0]
+    """Apply a gate list to a sparse state; returns a new dict.
+
+    Each run of permutation gates relabels the keys in one
+    ``run_basis_batch`` call, as int64 or, once the state or the run
+    reaches past qubit 62, as Python ints.
+    """
+    for seg in _segments(gates):
+        if isinstance(seg, list):
+            top = max(max(g.qubits) for g in seg)
+            wide = top > 62 or max(state, default=0) >> 63
+            keys = np.array(list(state), dtype=object if wide else np.int64)
+            moved = run_basis_batch(seg, oracles, keys)
+            state = dict(zip(moved.tolist(), state.values()))
+        elif seg.kind == "H":
+            t_bit = 1 << seg.targets[0]
             nxt: dict[int, complex] = {}
             for k, a in state.items():
                 h = a * _SQRT_HALF
@@ -314,32 +309,14 @@ def sparse_apply(
                 nxt[k0] = nxt.get(k0, 0.0) + h
                 nxt[k1] = nxt.get(k1, 0.0) + (h if k == k0 else -h)
             state = {k: a for k, a in nxt.items() if abs(a) > prune}
-        elif kind in ("S", "T", "TDG"):
-            t_bit = 1 << gate.targets[0]
-            phase = {"S": 1j, "T": _T_PHASE, "TDG": _T_PHASE.conjugate()}[kind]
+        elif seg.kind in _PHASES:
+            t_bit = 1 << seg.targets[0]
+            phase = _PHASES[seg.kind]
             state = {
                 k: (a * phase if k & t_bit else a) for k, a in state.items()
             }
-        elif kind == "ORACLE":
-            name = gate.name or ""
-            if name not in tables:
-                tables[name] = _oracle_table(
-                    _oracle_fn(oracles, gate), len(gate.controls)
-                )
-            table = tables[name]
-            nxt = {}
-            for k, a in state.items():
-                in_val = 0
-                for j, c in enumerate(gate.controls):
-                    in_val |= ((k >> c) & 1) << j
-                delta = table[in_val]
-                xor = 0
-                for j, t in enumerate(gate.targets):
-                    xor |= ((delta >> j) & 1) << t
-                nxt[k ^ xor] = a
-            state = nxt
         else:
-            raise ValueError(f"unhandled gate kind {kind}")
+            raise ValueError(f"unhandled gate kind {seg.kind}")
     return state
 
 
@@ -401,20 +378,23 @@ def run_basis_batch(
 ) -> np.ndarray:
     """Track an array of basis states through permutation-only gates.
 
-    ``bits`` holds basis indices; the result is a new int64 array with
-    entry i the image of ``bits[i]``, as ``run_basis`` would compute it.
+    ``bits`` holds basis indices; the result is a new array with entry i
+    the image of ``bits[i]``, as ``run_basis`` would compute it. It is
+    int64 unless ``bits`` is an object array, whose Python ints carry
+    indices of any width.
 
     Raises:
         ValueError: on H, S, T or TDG, which do not permute basis states,
-            or on a gate past qubit 62, which int64 indices cannot hold.
+            or, for int64 indices, on a gate past qubit 62.
     """
-    bits = np.array(bits, dtype=np.int64)
+    wide = isinstance(bits, np.ndarray) and bits.dtype == object
+    bits = np.array(bits, dtype=object if wide else np.int64)
     tables: dict[str, np.ndarray] = {}
     for gate in gates:
         kind = gate.kind
-        if kind not in ("X", "CNOT", "TOFFOLI", "MCX", "ORACLE"):
+        if kind not in _PERMUTATION_KINDS:
             raise ValueError(f"{kind} is not a permutation gate")
-        if max(gate.qubits) > 62:
+        if not wide and max(gate.qubits) > 62:
             raise ValueError("int64 basis indices hold at most 63 qubits")
         if kind == "ORACLE":
             name = gate.name or ""
@@ -426,7 +406,9 @@ def run_basis_batch(
             in_val = np.zeros_like(bits)
             for j, c in enumerate(gate.controls):
                 in_val |= ((bits >> c) & 1) << j
-            delta = tables[name][in_val]
+            delta = tables[name][in_val.astype(np.int64, copy=False)].astype(
+                bits.dtype, copy=False
+            )
             for j, t in enumerate(gate.targets):
                 bits ^= ((delta >> j) & 1) << t
         else:

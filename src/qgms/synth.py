@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, resource_profile
+from .circuit import Circuit, gate_tally, resource_profile
 from .gf2 import BitMatrix, BitVector
 from . import sim
 
@@ -70,15 +70,16 @@ class _Builder:
 
     ``fresh`` hands out a brand new ancilla that is never reclaimed.
     ``pool_alloc``/``pool_release`` manage ancillas whose users promise to
-    return them to |0>, so they can be reissued. Stage boundaries snapshot
-    gate and ancilla counters to produce StageCost records.
+    return them to |0>, so they can be reissued. ``begin_stage`` marks the
+    gate index and ancilla count; ``end_stage`` tallies only the gates
+    appended since into a StageCost record.
     """
 
     def __init__(self, circ: Circuit):
         self.circ = circ
         self._free: list[int] = []
         self.stages: list[StageCost] = []
-        self._mark: tuple[str, int, int, int, int] | None = None
+        self._mark: tuple[str, int, int, int] | None = None
 
     def fresh(self) -> int:
         q = self.circ.qubit_count
@@ -94,28 +95,15 @@ class _Builder:
     def pool_release(self, q: int) -> None:
         self._free.append(q)
 
-    def _counters(self) -> tuple[int, int, int]:
-        cnot = toffoli = 0
-        for g in self.circ.gates:
-            if g.kind == "CNOT":
-                cnot += 1
-            elif g.kind == "TOFFOLI":
-                toffoli += 1
-            elif g.kind == "MCX":
-                toffoli += 2 * (len(g.controls) - 1)
-                cnot += 1
-        return cnot, toffoli, self.circ.ancilla_count
-
     def begin_stage(self, stage: str, column: int) -> None:
-        c, t, a = self._counters()
-        self._mark = (stage, column, c, t, a)
+        self._mark = (stage, column, len(self.circ.gates), self.circ.ancilla_count)
 
     def end_stage(self) -> None:
         assert self._mark is not None
-        stage, column, c0, t0, a0 = self._mark
-        c1, t1, a1 = self._counters()
+        stage, column, start, a0 = self._mark
+        cnot, toffoli = gate_tally(self.circ.gates[start:])
         self.stages.append(
-            StageCost(stage, column, c1 - c0, t1 - t0, a1 - a0)
+            StageCost(stage, column, cnot, toffoli, self.circ.ancilla_count - a0)
         )
         self._mark = None
 

@@ -51,6 +51,7 @@ from .gf2 import (
     is_row_echelon,
     is_rref,
     nullspace_basis,
+    parity,
     rank,
     row_echelon,
     row_space,
@@ -129,7 +130,7 @@ def _invertible_matrices(n: int):
 def _matvec(a: BitMatrix, x: BitVector) -> int:
     out = 0
     for i in range(a.rows):
-        if bin(a.row_bits[i] & x.bits).count("1") % 2:
+        if parity(a.row_bits[i] & x.bits):
             out |= 1 << i
     return out
 

@@ -1,4 +1,5 @@
-"""Property tests: the batched basis tracker against the per-state engines."""
+"""Property tests: the batched basis tracker against the per-state engines,
+and the dense engine against the sparse one over every gate kind."""
 
 import numpy as np
 import pytest
@@ -8,18 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgms.circuit import Circuit, Gate
-from qgms.sim import run_basis, run_basis_batch, run_sparse
+from qgms.sim import (
+    StateVector,
+    run,
+    run_basis,
+    run_basis_batch,
+    run_sparse,
+    sparse_to_dense,
+)
 
 KINDS = ["X", "CNOT", "TOFFOLI", "MCX", "ORACLE"]
+ALL_KINDS = KINDS + ["H", "S", "T", "TDG"]
 
 
 @st.composite
-def permutation_circuits(draw):
-    """Random circuits over X, CNOT, TOFFOLI, MCX and ORACLE on 4-6 qubits."""
-    q = draw(st.integers(4, 6))
+def circuits(draw, kinds=KINDS, qubits=(4, 6), max_gates=12):
+    """Random circuits over ``kinds`` on qubits[0]..qubits[1] qubits."""
+    q = draw(st.integers(*qubits))
+    if q < 4:
+        kinds = [k for k in kinds if k != "MCX"]  # MCX needs three controls
     circ = Circuit(q)
-    for i in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(KINDS))
+    for i in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
         qs = draw(st.permutations(range(q)))
         if kind == "ORACLE":
             n_in = draw(st.integers(1, q - 1))
@@ -37,11 +48,14 @@ def permutation_circuits(draw):
                 f"f{i}", table.__getitem__, ins=qs[:n_in], outs=qs[n_in : n_in + n_out]
             )
             continue
-        n_controls = {"X": 0, "CNOT": 1, "TOFFOLI": 2}.get(kind)
-        if n_controls is None:
+        n_controls = {"CNOT": 1, "TOFFOLI": 2}.get(kind, 0)
+        if kind == "MCX":
             n_controls = draw(st.integers(3, q - 1))
         circ.append(Gate(kind, (qs[0],), tuple(qs[1 : 1 + n_controls])))
     return circ
+
+
+permutation_circuits = circuits
 
 
 def every_input(circ):
@@ -73,3 +87,64 @@ def test_circuit_then_inverse_mirror_is_identity(circ):
     inputs = every_input(circ)
     mirror = circ.gates + [g.inverse() for g in reversed(circ.gates)]
     assert np.array_equal(run_basis_batch(mirror, circ.oracles, inputs), inputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(ALL_KINDS, (3, 7), 16), st.data())
+def test_dense_matches_sparse_from_a_basis_state(circ, data):
+    x = data.draw(st.integers(0, (1 << circ.qubit_count) - 1))
+    dense = run(circ, initial=x).amps
+    sparse = sparse_to_dense(run_sparse(circ, initial=x), circ.qubit_count).amps
+    assert np.max(np.abs(dense - sparse)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(ALL_KINDS, (3, 7), 16), st.integers(0, 2**32 - 1))
+def test_dense_batch_equals_each_column_run_alone(circ, seed):
+    q = circ.qubit_count
+    rng = np.random.default_rng(seed)
+    batch = rng.normal(size=(1 << q, 3)) + 1j * rng.normal(size=(1 << q, 3))
+    out = run(circ, state=StateVector(q, batch)).amps
+    for j in range(batch.shape[1]):
+        alone = run(circ, state=StateVector(q, batch[:, j].copy())).amps
+        assert np.array_equal(out[:, j], alone)
+
+
+def wide_circuit():
+    """A 70-qubit permutation circuit whose gates and oracle reach past qubit 62."""
+    circ = Circuit(70)
+    circ.x(64)
+    circ.cnot(64, 69)
+    circ.toffoli(0, 69, 63)
+    circ.mcx([1, 63, 64], 68)
+    circ.oracle_block("f", lambda v: (5 * v + 3) % 8, ins=[2, 68, 69], outs=[65, 3, 67])
+    circ.cnot(65, 1)
+    return circ
+
+
+WIDE_INPUTS = [0, 1, 6, (1 << 69) | 5, (1 << 64) | (1 << 63) | 2, (1 << 70) - 1]
+
+
+def test_wide_batch_with_python_int_indices_equals_single_state_tracker():
+    circ = wide_circuit()
+    got = run_basis_batch(circ.gates, circ.oracles, np.array(WIDE_INPUTS, dtype=object))
+    assert got.dtype == object
+    assert got.tolist() == [run_basis(circ, x) for x in WIDE_INPUTS]
+
+
+def test_wide_sparse_engine_matches_tracker_through_hadamards():
+    perm = wide_circuit()
+    after = Circuit(70, oracles=perm.oracles)
+    after.cnot(63, 0)
+    after.oracle_block("f", perm.oracles["f"], ins=[0, 64, 69], outs=[1, 2, 62])
+    sandwich = Circuit(70, list(perm.gates), oracles=perm.oracles)
+    sandwich.h(66)
+    sandwich.extend(after.gates)
+    sandwich.h(66)
+    for x in WIDE_INPUTS:
+        y = run_basis(perm, x)
+        assert run_sparse(perm, initial=x) == {y: 1.0}
+        z = run_basis(after, y)
+        state = run_sparse(sandwich, initial=x)
+        assert list(state) == [z]
+        assert abs(state[z] - 1.0) <= 1e-12
