@@ -65,10 +65,11 @@ def _hyperplane(n: int, s: int) -> list[int]:
 def brute_count_rank_n_minus_1(n: int, s: int = 1) -> int:
     """Enumerate every row choice and count rank-(n-1) outcomes.
 
-    Rank is computed without row reduction: a matrix has rank n-1 exactly
-    when the XOR-span of its rows contains 2^(n-1) distinct values. The
-    span is built incrementally as a (matrices, subsets) array, so the
-    whole enumeration is a handful of vectorized passes.
+    Every matrix gets an XOR basis, built for all of them at once: each
+    row is reduced against the basis from its top bit down, and once it
+    reaches a set bit b that has no basis vector yet, the reduced row
+    becomes basis vector b. The rank is the number of basis vectors. One
+    vectorized pass per row and bit covers the whole enumeration.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -83,13 +84,15 @@ def brute_count_rank_n_minus_1(n: int, s: int = 1) -> int:
     mask = (1 << bits) - 1
     total = 1 << (bits * n)
     index = np.arange(total, dtype=np.int64)
-    spans = np.zeros((total, 1), dtype=np.uint8)
+    basis = np.zeros((n, total), dtype=np.uint8)
     for i in range(n):
-        row = hyperplane[(index >> (bits * i)) & mask]
-        spans = np.concatenate([spans, spans ^ row[:, None]], axis=1)
-    spans.sort(axis=1)
-    distinct = 1 + np.count_nonzero(spans[:, 1:] != spans[:, :-1], axis=1)
-    return int(np.count_nonzero(distinct == 1 << bits))
+        x = hyperplane[(index >> (bits * i)) & mask]
+        for b in reversed(range(n)):
+            has = (x >> b) & 1
+            basis[b] |= x * (has & (basis[b] == 0))
+            x = np.where(has, x ^ basis[b], x)
+    rank = np.count_nonzero(basis, axis=0)
+    return int(np.count_nonzero(rank == bits))
 
 
 def count_rank_n_minus_1(n: int, mode: str = "both", s: int = 1) -> CountReport:

@@ -13,11 +13,17 @@ state or gate reaches past qubit 62. Two engines sit on top of it and
 keep their own code only for H, S, T and TDG:
 
 * ``run`` evolves a dense numpy amplitude vector (or a 2-D batch of
-  them, one state per column). Each maximal run of permutation gates
-  becomes one scatter of the amplitudes to the kernel's images of all
-  indices; H and the phase gates act on a reshaped view that puts the
-  target qubit on its own axis. Memory is 2^q complex doubles, so a
-  configurable qubit cap guards against accidental blowups.
+  them, one state per column). It plans the circuit with ``dense_steps``:
+  each maximal run of permutation gates becomes one index map, the
+  kernel's images of all 2^q indices, and any other gate stays a step of
+  its own. ``apply_steps`` then scatters the amplitudes once per map and
+  applies H and the phase gates in place on a reshaped view that puts the
+  target qubit on its own axis, so it may overwrite its input; ``run``
+  passes it a copy. A plan kept as a list applies to any number of
+  column blocks; the norm check of ``verify`` runs its 100 random states
+  through one plan, ten columns at a time. Memory is 2^q complex doubles
+  per column, so a configurable qubit cap guards against accidental
+  blowups.
 * ``run_sparse`` keeps a dict of nonzero amplitudes. A permutation run
   relabels its keys in one kernel call and keeps the dict's order.
   Circuits whose support stays polynomial (few Hadamards, mostly
@@ -155,10 +161,8 @@ def run(
     Raises:
         QubitCapExceeded: if the circuit is wider than the cap allows.
     """
-    limit = qubit_cap() if cap is None else cap
+    steps = dense_steps(circ, cap)
     q = circ.qubit_count
-    if q > limit:
-        raise QubitCapExceeded(f"{q} qubits exceeds cap {limit}")
     if state is not None:
         if state.qubit_count != q:
             raise ValueError("state width does not match circuit")
@@ -166,16 +170,50 @@ def run(
     else:
         amps = np.zeros(1 << q, dtype=np.complex128)
         amps[initial] = 1.0
-    for seg in _segments(circ.gates):
-        if isinstance(seg, list):
-            index = np.arange(1 << q, dtype=np.int64)
-            dest = run_basis_batch(seg, circ.oracles, index)
+    return StateVector(q, apply_steps(steps, amps))
+
+
+def dense_steps(circ: Circuit, cap: int | None = None):
+    """The circuit as dense-engine steps, for ``apply_steps``.
+
+    Each maximal run of permutation gates becomes the index map that
+    ``run_basis_batch`` gives for every basis state; any other gate is
+    passed through. The cap is checked here, before anything is
+    allocated. The steps are generated lazily, so ``run`` holds one index
+    map at a time; a caller that applies them to several states keeps
+    them in a list. One oracle table per name serves every run.
+
+    Raises:
+        QubitCapExceeded: if the circuit is wider than the cap allows.
+    """
+    limit = qubit_cap() if cap is None else cap
+    q = circ.qubit_count
+    if q > limit:
+        raise QubitCapExceeded(f"{q} qubits exceeds cap {limit}")
+    index = np.arange(1 << q, dtype=np.int64)
+    tables: dict[str, np.ndarray] = {}
+    return (
+        run_basis_batch(seg, circ.oracles, index, tables)
+        if isinstance(seg, list)
+        else seg
+        for seg in _segments(circ.gates)
+    )
+
+
+def apply_steps(steps, amps: np.ndarray) -> np.ndarray:
+    """Apply ``dense_steps`` output to a state or a batch of columns.
+
+    Returns the evolved amplitudes. ``amps`` may be overwritten: H and the
+    phase gates work in place, so pass a copy to keep the input.
+    """
+    for step in steps:
+        if isinstance(step, np.ndarray):
             moved = np.empty_like(amps)
-            moved[dest] = amps
+            moved[step] = amps
             amps = moved
         else:
-            amps = _dense_apply(amps, seg)
-    return StateVector(q, amps)
+            amps = _dense_apply(amps, step)
+    return amps
 
 
 def _control_mask(gate: Gate) -> int:
@@ -206,7 +244,12 @@ def _dense_apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
     view = amps.reshape(-1, 2, 1 << gate.targets[0], *amps.shape[1:])
     if kind == "H":
         a0, a1 = view[:, 0], view[:, 1]
-        view[:, 0], view[:, 1] = (a0 + a1) * _SQRT_HALF, (a0 - a1) * _SQRT_HALF
+        # (a0 + a1) * _SQRT_HALF and (a0 - a1) * _SQRT_HALF, bit for bit,
+        # with one half-size temporary instead of four.
+        total = a0 + a1
+        np.subtract(a0, a1, out=a1)
+        np.multiply(total, _SQRT_HALF, out=a0)
+        a1 *= _SQRT_HALF
     elif kind in _PHASES:
         view[:, 1] *= _PHASES[kind]
     else:
@@ -290,14 +333,16 @@ def sparse_apply(
 
     Each run of permutation gates relabels the keys in one
     ``run_basis_batch`` call, as int64 or, once the state or the run
-    reaches past qubit 62, as Python ints.
+    reaches past qubit 62, as Python ints. One oracle table per name
+    serves every run.
     """
+    tables: dict[str, np.ndarray] = {}
     for seg in _segments(gates):
         if isinstance(seg, list):
             top = max(max(g.qubits) for g in seg)
             wide = top > 62 or max(state, default=0) >> 63
             keys = np.array(list(state), dtype=object if wide else np.int64)
-            moved = run_basis_batch(seg, oracles, keys)
+            moved = run_basis_batch(seg, oracles, keys, tables)
             state = dict(zip(moved.tolist(), state.values()))
         elif seg.kind == "H":
             t_bit = 1 << seg.targets[0]
@@ -374,14 +419,18 @@ def run_basis(circ: Circuit, bits: int) -> int:
 
 
 def run_basis_batch(
-    gates: list[Gate], oracles: dict[str, object], bits: np.ndarray
+    gates: list[Gate],
+    oracles: dict[str, object],
+    bits: np.ndarray,
+    _tables: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Track an array of basis states through permutation-only gates.
 
     ``bits`` holds basis indices; the result is a new array with entry i
     the image of ``bits[i]``, as ``run_basis`` would compute it. It is
     int64 unless ``bits`` is an object array, whose Python ints carry
-    indices of any width.
+    indices of any width. ``_tables`` lets the runs of one circuit share
+    their oracle tables, keyed by oracle name.
 
     Raises:
         ValueError: on H, S, T or TDG, which do not permute basis states,
@@ -389,7 +438,7 @@ def run_basis_batch(
     """
     wide = isinstance(bits, np.ndarray) and bits.dtype == object
     bits = np.array(bits, dtype=object if wide else np.int64)
-    tables: dict[str, np.ndarray] = {}
+    tables = {} if _tables is None else _tables
     for gate in gates:
         kind = gate.kind
         if kind not in _PERMUTATION_KINDS:

@@ -202,20 +202,24 @@ def _pack_matrix(a: BitMatrix, extra: int = 0) -> int:
     return bits | (extra << (a.rows * a.cols))
 
 
+def _truth_table(circ, inputs: list[int]) -> list[int]:
+    """Images of every input under a permutation circuit, in one kernel call."""
+    out = sim.run_basis_batch(circ.gates, circ.oracles, np.array(inputs, dtype=np.int64))
+    return out.tolist()
+
+
 def _solver_equivalence(jordan: bool) -> Check:
     syn = synth.jordan_solve_circuit(3) if jordan else synth.gauss_solve_circuit(3)
     b_reg = list(syn.circuit.registers["b"])
+    cases = [(a, b) for a in _invertible_matrices(3) for b in range(8)]
+    outs = _truth_table(syn.circuit, [_pack_matrix(a, b) for a, b in cases])
     bad = 0
-    total = 0
-    for a in _invertible_matrices(3):
-        for b in range(8):
-            total += 1
-            out = sim.run_basis(syn.circuit, _pack_matrix(a, b))
-            got = sim.extract_bits(out, b_reg)
-            if got != gaussian_eliminate(a, BitVector(3, b)).bits:
-                bad += 1
+    for (a, b), out in zip(cases, outs):
+        got = sim.extract_bits(out, b_reg)
+        if got != gaussian_eliminate(a, BitVector(3, b)).bits:
+            bad += 1
     name = "jordan_solver_matches_classical" if jordan else "gauss_solver_matches_classical"
-    return Check(name, bad == 0, f"{total} systems, {bad} mismatches")
+    return Check(name, bad == 0, f"{len(cases)} systems, {bad} mismatches")
 
 
 def _stage_formula(n: int) -> list[synth.StageCost]:
@@ -228,13 +232,48 @@ def _stage_formula(n: int) -> list[synth.StageCost]:
     return out
 
 
+# Columns per block of the norm check. Over the six circuits, widths 8-20
+# ran equally fast and 5 or 50+ slower; a block of 10 states at 2^16
+# amplitudes (kernel_2x2) is 10 MB. No block may hold a single column:
+# numpy sums a lone column's norm in another order, so its bits differ.
+_NORM_BLOCK = 10
+
+
 def _norm_deviation(circ, count: int, seed: int) -> float:
+    """Largest |norm - 1| over ``count`` random unit states run through ``circ``.
+
+    The states are drawn as one (2^q, count) batch, real parts then
+    imaginary parts, and run in blocks of ``_NORM_BLOCK`` columns through
+    one plan of the circuit. Each column's norm and amplitudes do not
+    depend on which columns share its block.
+    """
     rng = np.random.default_rng(seed)
     q = circ.qubit_count
-    batch = rng.normal(size=(1 << q, count)) + 1j * rng.normal(size=(1 << q, count))
-    batch /= np.linalg.norm(batch, axis=0, keepdims=True)
-    out = sim.run(circ, state=sim.StateVector(q, batch))
-    return float(np.max(np.abs(np.linalg.norm(out.amps, axis=0) - 1.0)))
+    real = rng.normal(size=(1 << q, count))
+    imag = rng.normal(size=(1 << q, count))
+    steps = list(sim.dense_steps(circ))
+    worst = 0.0
+    for start in range(0, count, _NORM_BLOCK):
+        cols = slice(start, start + _NORM_BLOCK)
+        block = real[:, cols].astype(np.complex128)
+        block.imag = imag[:, cols]
+        block /= np.linalg.norm(block, axis=0, keepdims=True)
+        out = sim.apply_steps(steps, block)
+        worst = max(worst, float(np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0))))
+    return worst
+
+
+def _norm_circuits() -> list[tuple[str, object]]:
+    """The circuit families of the norm check, each with fixed oracles."""
+    fx = build_fx_oracle(1, 2, 0, 3, 1, cipher_seed=72)
+    return [
+        ("gauss_2", synth.gauss_solve_circuit(2).circuit),
+        ("jordan_2", synth.jordan_solve_circuit(2).circuit),
+        ("rref_2x2", synth.rref_circuit(2, 2).circuit),
+        ("kernel_2x2", synth.kernel_circuit(2, 2).circuit),
+        ("simon_round_2", simon_round_circuit(build_simon_oracle(2, 3, rng=72))),
+        ("search_1_2_1", build_gms_circuit(GmsConfig(1, 2, 1, fx))[0]),
+    ]
 
 
 def suite_circuits() -> SuiteResult:
@@ -246,9 +285,10 @@ def suite_circuits() -> SuiteResult:
     res.checks.append(_solver_equivalence(jordan=True))
 
     syn = synth.rref_circuit(3, 3)
+    matrices = list(_all_matrices(3))
+    outs = _truth_table(syn.circuit, [_pack_matrix(a) for a in matrices])
     bad = 0
-    for a in _all_matrices(3):
-        out = sim.run_basis(syn.circuit, _pack_matrix(a))
+    for a, out in zip(matrices, outs):
         rows = [(out >> (3 * i)) & 7 for i in range(3)]
         if rows != rref(a).matrix.row_bits:
             bad += 1
@@ -283,15 +323,7 @@ def suite_circuits() -> SuiteResult:
             ok = False
     res.add("closed_forms_reconciled", ok, "; ".join(deltas))
 
-    fx = build_fx_oracle(1, 2, 0, 3, 1, cipher_seed=72)
-    circuits = [
-        ("gauss_2", synth.gauss_solve_circuit(2).circuit),
-        ("jordan_2", synth.jordan_solve_circuit(2).circuit),
-        ("rref_2x2", synth.rref_circuit(2, 2).circuit),
-        ("kernel_2x2", synth.kernel_circuit(2, 2).circuit),
-        ("simon_round_2", simon_round_circuit(build_simon_oracle(2, 3))),
-        ("search_1_2_1", build_gms_circuit(GmsConfig(1, 2, 1, fx))[0]),
-    ]
+    circuits = _norm_circuits()
     worst = 0.0
     for i, (label, circ) in enumerate(circuits):
         worst = max(worst, _norm_deviation(circ, 100, seed=i))

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from qgms.circuit import Circuit, Gate
 from qgms.sim import (
     StateVector,
+    apply_steps,
+    dense_steps,
     run,
     run_basis,
     run_basis_batch,
@@ -108,6 +110,19 @@ def test_dense_batch_equals_each_column_run_alone(circ, seed):
     for j in range(batch.shape[1]):
         alone = run(circ, state=StateVector(q, batch[:, j].copy())).amps
         assert np.array_equal(out[:, j], alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(ALL_KINDS, (3, 7), 16), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_planned_steps_on_column_blocks_equal_one_run_of_the_batch(circ, seed, width):
+    q = circ.qubit_count
+    rng = np.random.default_rng(seed)
+    batch = rng.normal(size=(1 << q, 7)) + 1j * rng.normal(size=(1 << q, 7))
+    whole = run(circ, state=StateVector(q, batch)).amps
+    steps = list(dense_steps(circ))
+    for start in range(0, batch.shape[1], width):
+        block = batch[:, start : start + width].copy()
+        assert np.array_equal(apply_steps(steps, block), whole[:, start : start + width])
 
 
 def wide_circuit():

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from qgms import gf2
@@ -72,3 +73,33 @@ def test_mode_validation():
         rank_deficit_one_formula(1)
     with pytest.raises(ValueError):
         brute_count_rank_n_minus_1(3, s=8)
+
+
+def span_sort_count(n, s):
+    """The earlier brute count: a matrix has rank n-1 when the XOR-span of
+    its rows holds 2^(n-1) distinct values, found by sorting every span."""
+    hyperplane = np.array(
+        [x for x in range(1 << n) if bin(x & s).count("1") % 2 == 0], dtype=np.uint8
+    )
+    bits = n - 1
+    mask = (1 << bits) - 1
+    total = 1 << (bits * n)
+    index = np.arange(total, dtype=np.int64)
+    spans = np.zeros((total, 1), dtype=np.uint8)
+    for i in range(n):
+        row = hyperplane[(index >> (bits * i)) & mask]
+        spans = np.concatenate([spans, spans ^ row[:, None]], axis=1)
+    spans.sort(axis=1)
+    distinct = 1 + np.count_nonzero(spans[:, 1:] != spans[:, :-1], axis=1)
+    return int(np.count_nonzero(distinct == 1 << bits))
+
+
+def test_xor_basis_count_matches_span_sort_for_every_s():
+    for n in (2, 3, 4):
+        for s in range(1, 1 << n):
+            assert brute_count_rank_n_minus_1(n, s) == span_sort_count(n, s)
+
+
+def test_exhaustive_n5_count_is_hyperplane_independent():
+    for s in (6, 19, 31):
+        assert brute_count_rank_n_minus_1(5, s) == 624960

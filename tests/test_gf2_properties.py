@@ -1,0 +1,79 @@
+"""Property tests of the GF(2) layer on random shapes past the exhaustive 3x3 range."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qgms.gf2 import (
+    BitMatrix,
+    BitVector,
+    general_solution,
+    is_rref,
+    nullspace_basis,
+    rank,
+    rref,
+)
+
+
+@st.composite
+def matrices(draw, max_rows=9, max_cols=9):
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BitMatrix(rows, cols, bits)
+
+
+def stacked(vectors: list[BitVector], cols: int) -> BitMatrix:
+    return BitMatrix(len(vectors), cols, [v.bits for v in vectors])
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_plus_nullity_is_column_count(a):
+    basis = nullspace_basis(a)
+    assert rank(a) + len(basis) == a.cols
+    for v in basis:
+        assert a.mul_vec(v).is_zero()
+    if basis:
+        assert rank(stacked(basis, a.cols)) == len(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_is_idempotent(a):
+    once = rref(a)
+    twice = rref(once.matrix)
+    assert is_rref(once.matrix)
+    assert twice.matrix == once.matrix
+    assert twice.pivot_cols == once.pivot_cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_general_solution_solves_the_system(a, data):
+    x = BitVector(a.cols, data.draw(st.integers(0, (1 << a.cols) - 1)))
+    b = a.mul_vec(x)
+    got = general_solution(a, b)
+    assert got is not None
+    x0, basis = got
+    assert a.mul_vec(x0) == b
+    assert len(basis) == a.cols - rank(a)
+    for v in basis:
+        assert a.mul_vec(x0 ^ v) == b
+    # x differs from x0 by a kernel vector, so it lies in x0 + span(basis)
+    assert rank(stacked([*basis, x0 ^ x], a.cols)) == len(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_general_solution_is_none_exactly_when_inconsistent(a, data):
+    b = BitVector(a.rows, data.draw(st.integers(0, (1 << a.rows) - 1)))
+    aug = BitMatrix(
+        a.rows, a.cols + 1, [a.row_bits[i] | (b.get(i) << a.cols) for i in range(a.rows)]
+    )
+    got = general_solution(a, b)
+    assert (got is None) == (rank(aug) > rank(a))
+    if got is not None:
+        assert a.mul_vec(got[0]) == b
