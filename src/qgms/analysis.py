@@ -34,7 +34,13 @@ from .amplify import grover_probability
 from .circuit import Circuit, Gate
 from .gf2 import BitMatrix, BitVector, nullspace_basis, parity, rank
 from .counting import CountReport, count_rank_n_minus_1, rank_deficit_one_formula
-from .oracles import FxOracle, build_simon_oracle, y_marginal
+from .oracles import (
+    FxOracle,
+    build_simon_oracle,
+    parallel_simon_circuit,
+    period_finding_rounds,
+    y_marginal,
+)
 from .synth import _Builder, kernel_core
 
 
@@ -112,19 +118,10 @@ def prep_circuit(cfg: GmsConfig) -> Circuit:
     """Uniform key register plus l period-finding rounds, data qubits only."""
     key, ys, fs = cfg.layout()
     circ = Circuit(cfg.data_qubits)
-    regs = {"key": tuple(key)}
-    for j in range(cfg.l):
-        regs[f"y{j}"] = tuple(ys[j])
-        regs[f"f{j}"] = tuple(fs[j])
-    circ.registers = regs
+    circ.registers = {"key": tuple(key)}
     for q in key:
         circ.h(q)
-    for j in range(cfg.l):
-        for q in ys[j]:
-            circ.h(q)
-        circ.oracle_block("f", cfg.oracle, ins=key + ys[j], outs=fs[j])
-        for q in ys[j]:
-            circ.h(q)
+    period_finding_rounds(circ, cfg.oracle, key, ys, fs)
     return circ
 
 
@@ -227,30 +224,17 @@ def build_gms_circuit(cfg: GmsConfig) -> tuple[Circuit, dict[str, tuple[int, int
     Scratch is pooled, so one round returns every helper to zero and the
     state stays supported on the data register between rounds.
     """
-    key, ys, fs = cfg.layout()
+    key, ys, _ = cfg.layout()
     n = cfg.n
     # the prep slice is prep_circuit itself, so prepare_initial_state is
     # exactly the state the circuit's rounds start from
     circ = prep_circuit(cfg)
     bld = _Builder(circ)
-
-    slices: dict[str, tuple[int, int]] = {"prep": (0, len(circ.gates))}
-
-    def mark(name, start):
-        slices[name] = (start, len(circ.gates))
-
-    # --- compute: kernel extraction plus plaintext checks
-    start = len(circ.gates)
     s_out = [bld.fresh() for _ in range(n)]
     flag = bld.fresh()
-    circ.registers = {"key": tuple(key), "s": tuple(s_out), "flag": (flag,)}
-    for j in range(cfg.l):
-        circ.registers[f"y{j}"] = tuple(ys[j])
-        circ.registers[f"f{j}"] = tuple(fs[j])
-    kernel_core(bld, ys, s_out, flag)
 
-    eqs = []
-    for p in cfg.plaintexts:
+    def query(p: int) -> list[int]:
+        """Pooled ``out`` = f(k',p) xor f(k',p xor s): all zero on a match."""
         xin = [bld.pool_alloc() for _ in range(n)]
         out = [bld.pool_alloc() for _ in range(n)]
         for b in range(n):
@@ -260,45 +244,31 @@ def build_gms_circuit(cfg: GmsConfig) -> tuple[Circuit, dict[str, tuple[int, int
         for b in range(n):
             circ.cnot(s_out[b], xin[b])
         circ.oracle_block("f", cfg.oracle, ins=key + xin, outs=out)
-        # out now holds f(k',p) xor f(k',p xor s); equality means all zero
-        eq = bld.fresh()
-        for q in out:
-            circ.x(q)
-        circ.mcx(out, eq)
-        for q in out:
-            circ.x(q)
-        eqs.append(eq)
-        # return the query scratch to zero
-        circ.oracle_block("f", cfg.oracle, ins=key + xin, outs=out)
-        for b in range(n):
-            circ.cnot(s_out[b], xin[b])
-        circ.oracle_block("f", cfg.oracle, ins=key + xin, outs=out)
-        for b in range(n):
-            if (p >> b) & 1:
-                circ.x(xin[b])
-        for q in xin + out:
-            bld.pool_release(q)
+        return out
 
-    accept = bld.fresh()
-    circ.registers["accept"] = (accept,)
-    circ.mcx([flag] + eqs, accept)
-    compute_gates = circ.gates[start:]
-    mark("compute", start)
+    def compute() -> int:
+        """Kernel extraction plus plaintext checks, verdict on an accept qubit."""
+        kernel_core(bld, ys, s_out, flag)
+        eqs = []
+        for p in cfg.plaintexts:
+            with bld.mirrored(lambda: query(p)) as out:
+                eqs.append(bld.fresh())
+                bld.flip_if(eqs[-1], zeros=out)
+        accept = bld.fresh()
+        circ.mcx([flag] + eqs, accept)
+        return accept
 
-    # --- phase flip on the accept qubit (Z = H X H)
-    start = len(circ.gates)
-    circ.h(accept)
-    circ.x(accept)
-    circ.h(accept)
-    mark("phase", start)
-
-    # --- uncompute
-    start = len(circ.gates)
-    circ.extend(g.inverse() for g in reversed(compute_gates))
-    mark("uncompute", start)
-
+    prep_end = len(circ.gates)
+    with bld.mirrored(compute) as accept:
+        circ.registers.update(s=tuple(s_out), flag=(flag,), accept=(accept,))
+        # --- phase flip on the accept qubit (Z = H X H)
+        phase_start = len(circ.gates)
+        circ.h(accept)
+        circ.x(accept)
+        circ.h(accept)
+        phase_end = len(circ.gates)
     # --- diffusion about the mean over the data register
-    start = len(circ.gates)
+    diffusion_start = len(circ.gates)
     data = list(range(cfg.data_qubits))
     for q in data:
         circ.h(q)
@@ -311,9 +281,13 @@ def build_gms_circuit(cfg: GmsConfig) -> tuple[Circuit, dict[str, tuple[int, int
         circ.x(q)
     for q in data:
         circ.h(q)
-    mark("diffusion", start)
-
-    return circ, slices
+    return circ, {
+        "prep": (0, prep_end),
+        "compute": (prep_end, phase_start),
+        "phase": (phase_start, phase_end),
+        "uncompute": (phase_end, diffusion_start),
+        "diffusion": (diffusion_start, len(circ.gates)),
+    }
 
 
 def _slice(circ: Circuit, lo: int, hi: int) -> Circuit:
@@ -700,18 +674,8 @@ def deferred_vs_immediate(n: int, l: int, s: int, seed: int = 0) -> DeferredComp
         dist_immediate[key] = dist_immediate.get(key, 0.0) + p
 
     # deferred: rounds, then the reversible kernel solver, measured at the end
-    circ = Circuit(2 * n * l)
-    ys = []
-    for j in range(l):
-        base = 2 * n * j
-        y_ids = list(range(base, base + n))
-        f_ids = list(range(base + n, base + 2 * n))
-        ys.append(y_ids)
-        for q in y_ids:
-            circ.h(q)
-        circ.oracle_block("f", oracle, ins=y_ids, outs=f_ids)
-        for q in y_ids:
-            circ.h(q)
+    circ = parallel_simon_circuit(oracle, l)
+    ys = [list(circ.registers[f"y{j}"]) for j in range(l)]
     bld = _Builder(circ)
     s_out = [bld.fresh() for _ in range(n)]
     flag = bld.fresh()
@@ -719,17 +683,13 @@ def deferred_vs_immediate(n: int, l: int, s: int, seed: int = 0) -> DeferredComp
 
     state: dict[int, complex] = {0: 1.0 + 0.0j}
     state = sim.sparse_apply(state, circ.gates, circ.oracles)
+    y_qubits = [q for y in ys for q in y]  # row j lands on bits n*j..n*j+n-1
     dist_deferred: dict[tuple[int, int], float] = {}
     for idx, amp in state.items():
         w = (amp * amp.conjugate()).real
         if w == 0.0:
             continue
-        ybits = 0
-        for j in range(l):
-            yj = sum(((idx >> q) & 1) << b for b, q in enumerate(ys[j]))
-            ybits |= yj << (n * j)
-        sv = sum(((idx >> q) & 1) << b for b, q in enumerate(s_out))
-        key = (ybits, sv)
+        key = (sim.extract_bits(idx, y_qubits), sim.extract_bits(idx, s_out))
         dist_deferred[key] = dist_deferred.get(key, 0.0) + w
 
     keys = set(dist_immediate) | set(dist_deferred)

@@ -34,17 +34,32 @@ from .circuit import resource_profile
 from .oracles import ZeroWhiteningKey, build_fx_oracle
 
 
+def _timestamp() -> str:
+    """UTC time of the run, or of SOURCE_DATE_EPOCH when it is set."""
+    raw = os.environ.get("SOURCE_DATE_EPOCH")
+    try:
+        stamp = int(time.time()) if raw is None else int(raw)
+        return datetime.fromtimestamp(stamp, timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise ValueError(
+            f"SOURCE_DATE_EPOCH must be a Unix time in seconds, got {raw!r}"
+        ) from None
+
+
 def run_manifest(subcommand: str, config: dict, seeds: dict) -> dict:
     """Provenance block embedded in every report."""
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    stamp = int(epoch) if epoch is not None else int(time.time())
     return {
         "subcommand": subcommand,
         "config": config,
         "seeds": seeds,
         "tool_version": __version__,
-        "timestamp": datetime.fromtimestamp(stamp, timezone.utc).isoformat(),
+        "timestamp": _timestamp(),
     }
+
+
+def _usage_error(message: str) -> int:
+    print(f"qgms: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _write(path: Path, text: str) -> None:
@@ -56,9 +71,9 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_synth(args: argparse.Namespace) -> int:
     if args.n < 2:
-        parser.error("--n must be at least 2 (a 1x1 system needs no circuit)")
+        return _usage_error("--n must be at least 2 (a 1x1 system needs no circuit)")
     if args.kind == "qge":
         syn = synth.gauss_solve_circuit(args.n)
         closed = synth.gauss_closed_form(args.n)
@@ -84,15 +99,17 @@ def cmd_synth(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.suite == "deferred":
         if (args.n is None) != (args.l is None):
-            parser.error("the deferred suite takes --n and --l together")
+            return _usage_error("the deferred suite takes --n and --l together")
         if args.n is not None:
+            if args.n < 2 or args.l < 1:
+                return _usage_error("the deferred suite needs --n >= 2 and --l >= 1")
             kwargs = {"n": args.n, "l": args.l}
     elif args.n is not None or args.l is not None:
-        parser.error("--n/--l only apply to the deferred suite")
+        return _usage_error("--n/--l only apply to the deferred suite")
     result = verify.run_suite(args.suite, **kwargs)
     payload = result.as_dict()
     payload["manifest"] = run_manifest("verify", {"suite": args.suite, **kwargs}, {})
@@ -100,9 +117,11 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0 if result.passed else 1
 
 
-def cmd_gms(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_gms(args: argparse.Namespace) -> int:
     if args.m < 1 or args.n < 1 or args.l < 1:
-        parser.error("--m, --n and --l must be positive")
+        return _usage_error("--m, --n and --l must be positive")
+    if args.t_max < 0:
+        return _usage_error("--t-max must be at least 0")
     need = required_qubits(args.m, args.n, args.l)
     cap = sim.qubit_cap()
     if need > cap:
@@ -119,7 +138,7 @@ def cmd_gms(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         cfg = GmsConfig(args.m, args.n, args.l, fx, t=args.t_max)
         report = analysis_report(cfg, t_max=args.t_max)
     except (ValueError, ZeroWhiteningKey) as exc:
-        parser.error(str(exc))
+        return _usage_error(str(exc))
     except sim.QubitCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 3
@@ -183,11 +202,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         sim.qubit_cap()
+        _timestamp()
     except ValueError as exc:
-        print(f"qgms: error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     if args.command == "synth":
-        return cmd_synth(args, parser)
+        return cmd_synth(args)
     if args.command == "verify":
-        return cmd_verify(args, parser)
-    return cmd_gms(args, parser)
+        return cmd_verify(args)
+    return cmd_gms(args)

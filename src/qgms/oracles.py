@@ -177,25 +177,33 @@ def y_marginal(table: list[int] | tuple[int, ...], n: int) -> list[float]:
 # Period-finding rounds
 
 
+def period_finding_rounds(
+    circ: Circuit, oracle, key: list[int], ys: list[list[int]], fs: list[list[int]]
+) -> None:
+    """Append one H / query / H round per block pair (ys[j], fs[j]).
+
+    Round j applies H on ys[j], XORs oracle(key + ys[j]) into fs[j] as
+    oracle block "f", and applies H on ys[j] again; registers "y{j}" and
+    "f{j}" name its blocks.
+    """
+    for j, (y, f) in enumerate(zip(ys, fs)):
+        circ.registers[f"y{j}"] = tuple(y)
+        circ.registers[f"f{j}"] = tuple(f)
+        for q in y:
+            circ.h(q)
+        circ.oracle_block("f", oracle, ins=key + y, outs=f)
+        for q in y:
+            circ.h(q)
+
+
 def simon_round_circuit(oracle: SimonOracle) -> Circuit:
     """One period-finding round: H, query, H on a 2n-qubit register pair.
 
     Qubits 0..n-1 start as the query register and hold y afterwards;
     qubits n..2n-1 hold the function value.
     """
-    n = oracle.n
-    circ = Circuit(2 * n)
-    circ.registers = {
-        "y": tuple(range(n)),
-        "f": tuple(range(n, 2 * n)),
-    }
-    for q in range(n):
-        circ.h(q)
-    circ.oracle_block(
-        "f", oracle, ins=list(range(n)), outs=list(range(n, 2 * n))
-    )
-    for q in range(n):
-        circ.h(q)
+    circ = parallel_simon_circuit(oracle, 1)
+    circ.registers = {"y": circ.registers["y0"], "f": circ.registers["f0"]}
     return circ
 
 
@@ -212,19 +220,9 @@ def parallel_simon_circuit(oracle: SimonOracle, l: int) -> Circuit:
     """
     n = oracle.n
     circ = Circuit(2 * n * l)
-    regs = {}
-    for j in range(l):
-        base = 2 * n * j
-        ys = list(range(base, base + n))
-        fs = list(range(base + n, base + 2 * n))
-        regs[f"y{j}"] = tuple(ys)
-        regs[f"f{j}"] = tuple(fs)
-        for q in ys:
-            circ.h(q)
-        circ.oracle_block("f", oracle, ins=ys, outs=fs)
-        for q in ys:
-            circ.h(q)
-    circ.registers = regs
+    ys = [list(range(2 * n * j, 2 * n * j + n)) for j in range(l)]
+    fs = [list(range(2 * n * j + n, 2 * n * (j + 1))) for j in range(l)]
+    period_finding_rounds(circ, oracle, [], ys, fs)
     return circ
 
 

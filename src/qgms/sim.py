@@ -257,15 +257,6 @@ def _dense_apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
     return view.reshape(amps.shape)
 
 
-def full_distribution(state: StateVector, qubits: list[int]) -> np.ndarray:
-    """Born-rule measurement table for the listed qubits.
-
-    Entry b is the probability of reading outcome b (qubits[j] packed into
-    bit j); sums to 1 for a normalized state.
-    """
-    return state.marginal(qubits)
-
-
 def measure(
     state: StateVector, qubits: list[int], rng
 ) -> tuple[int, StateVector]:
@@ -284,24 +275,6 @@ def measure(
     amps = np.where(key == outcome, state.amps, 0.0)
     norm = np.sqrt(np.sum(np.abs(amps) ** 2))
     return outcome, StateVector(state.qubit_count, amps / norm)
-
-
-def dump_state(
-    state: StateVector,
-    registers: dict[str, tuple[int, ...]] | None = None,
-    threshold: float = 1e-12,
-) -> dict:
-    """JSON-ready snapshot: significant amplitudes plus the register map."""
-    entries = [
-        [int(i), float(a.real), float(a.imag)]
-        for i, a in enumerate(state.amps)
-        if abs(a) > threshold
-    ]
-    return {
-        "qubit_count": state.qubit_count,
-        "amplitudes": entries,
-        "registers": {k: list(v) for k, v in (registers or {}).items()},
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ ancillas:
 
 Write-once ("fresh") ancillas keep whatever they hold; they are the
 irreversibility budget of elimination. Short-lived conditions (segment
-tests, pivot-present guards) are provably returned to zero and drawn from
-a reuse pool instead.
+tests, pivot-present guards, zero tests, leading-entry indicators) are
+drawn from a reuse pool instead: ``_Builder.mirrored`` appends the exact
+inverse of the block that computed them, which returns them to zero, and
+then gives them back to the pool.
 
 The cost model lives in two layers: per-stage tallies predicted column by
 column, and closed-form totals. For the Jordan solver the two agree
@@ -28,6 +30,8 @@ satisfy; resource reports carry both plus the delta.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .circuit import Circuit, gate_tally, resource_profile
@@ -69,15 +73,18 @@ class _Builder:
     """Grow-on-demand qubit allocation over a Circuit.
 
     ``fresh`` hands out a brand new ancilla that is never reclaimed.
-    ``pool_alloc``/``pool_release`` manage ancillas whose users promise to
-    return them to |0>, so they can be reissued. ``begin_stage`` marks the
-    gate index and ancilla count; ``end_stage`` tallies only the gates
-    appended since into a StageCost record.
+    ``pool_alloc`` reissues an ancilla some earlier block returned to |0>,
+    or a fresh one; only ``mirrored`` gives pool qubits back.
+    ``flip_if`` and ``pool_flag`` write the mixed-polarity test
+    (X-conjugated multi-controlled X) the guards and indicators share.
+    ``begin_stage`` marks the gate index and ancilla count; ``end_stage``
+    tallies only the gates appended since into a StageCost record.
     """
 
     def __init__(self, circ: Circuit):
         self.circ = circ
         self._free: list[int] = []
+        self._held: list[int] = []
         self.stages: list[StageCost] = []
         self._mark: tuple[str, int, int, int] | None = None
 
@@ -88,12 +95,52 @@ class _Builder:
         return q
 
     def pool_alloc(self) -> int:
-        if self._free:
-            return self._free.pop()
-        return self.fresh()
+        q = self._free.pop() if self._free else self.fresh()
+        self._held.append(q)
+        return q
 
-    def pool_release(self, q: int) -> None:
-        self._free.append(q)
+    def flip_if(self, target: int, zeros: Sequence[int], ones: Sequence[int] = ()) -> None:
+        """target ^= [all of ``zeros`` read 0 and all of ``ones`` read 1].
+
+        The zero-controls are X-conjugated around one multi-controlled X;
+        with no controls at all the flip is unconditional.
+        """
+        for q in zeros:
+            self.circ.x(q)
+        controls = [*zeros, *ones]
+        if controls:
+            self.circ.mcx(controls, target)
+        else:
+            self.circ.x(target)
+        for q in zeros:
+            self.circ.x(q)
+
+    def pool_flag(self, zeros: Sequence[int] = (), ones: Sequence[int] = ()) -> int:
+        """A pool qubit set to [all of ``zeros`` read 0 and all of ``ones`` read 1]."""
+        q = self.pool_alloc()
+        self.flip_if(q, zeros, ones)
+        return q
+
+    @contextmanager
+    def mirrored(self, compute):
+        """Compute, run the ``with`` body, then uncompute exactly.
+
+        ``compute()`` emits a permutation-only block and its return value
+        is bound by ``with``. After the body the block's inverse (each
+        gate inverted, in reverse order) is appended, which returns the
+        block's qubits to their inputs provided the body leaves them as it
+        found them; then the pool qubits the block still holds go back to
+        the pool, last taken first, so nested blocks unwind like a stack.
+        """
+        start, depth = len(self.circ.gates), len(self._held)
+        result = compute()
+        block = self.circ.gates[start:]
+        taken = self._held[depth:]
+        yield result
+        assert self._held[depth:] == taken, "body kept a pool qubit"
+        self.circ.extend([g.inverse() for g in reversed(block)])
+        del self._held[depth:]
+        self._free.extend(reversed(taken))
 
     def begin_stage(self, stage: str, column: int) -> None:
         self._mark = (stage, column, len(self.circ.gates), self.circ.ancilla_count)
@@ -284,7 +331,7 @@ def expanded_cnot(stages: list[StageCost]) -> int:
 # Reduced row echelon form on a rectangular register
 
 
-def rref_core(bld: _Builder, rows: list[list[int]]) -> tuple[int, int]:
+def rref_core(bld: _Builder, rows: list[list[int]]) -> None:
     """Reduce the matrix held on ``rows`` to reduced row echelon form.
 
     ``rows`` is an m x n grid of qubit ids (any layout). For each pivot
@@ -296,61 +343,32 @@ def rref_core(bld: _Builder, rows: list[list[int]]) -> tuple[int, int]:
     t = g AND a[i][c] clears column c in every other row. The pivot-
     present guard matters: without it a candidate column that stays zero
     would still trigger row updates and wreck reduced form on rank-
-    deficient inputs.
-
-    Returns (start, end): the slice of the gate list this call emitted,
-    so callers can append the inverse to uncompute.
+    deficient inputs. Both guards are mirrored: g's segment is read-only
+    inside its block, and row i is untouched by the sweep t guards.
     """
     circ = bld.circ
     m, n = len(rows), len(rows[0])
-    start = len(circ.gates)
     for i in range(min(m, n)):
         for c in range(i, n):
             # g <- [columns i..c-1 of row i all zero]
-            g = bld.pool_alloc()
-            seg = [rows[i][d] for d in range(i, c)]
-            for q in seg:
-                circ.x(q)
-            if seg:
-                circ.mcx(seg, g)
-            else:
-                circ.x(g)
-            for q in seg:
-                circ.x(q)
+            with bld.mirrored(lambda: bld.pool_flag(zeros=rows[i][i:c])) as g:
+                # Pivot repair, guarded on g and the pivot still missing.
+                for q in range(i + 1, m):
+                    h = bld.fresh()
+                    bld.flip_if(h, zeros=[rows[i][c]], ones=[g])
+                    for d in range(c, n):
+                        circ.toffoli(h, rows[q][d], rows[i][d])
 
-            # Pivot repair, guarded on g and the pivot still missing.
-            for q in range(i + 1, m):
-                h = bld.fresh()
-                circ.x(rows[i][c])
-                circ.toffoli(g, rows[i][c], h)
-                circ.x(rows[i][c])
-                for d in range(c, n):
-                    circ.toffoli(h, rows[q][d], rows[i][d])
-
-            # Elimination sweep, guarded on g and the pivot present.
-            t = bld.pool_alloc()
-            circ.toffoli(g, rows[i][c], t)
-            for r in range(m):
-                if r == i:
-                    continue
-                e = bld.fresh()
-                circ.toffoli(t, rows[r][c], e)
-                for d in range(c + 1, n):
-                    circ.toffoli(e, rows[i][d], rows[r][d])
-                circ.cnot(e, rows[r][c])
-            circ.toffoli(g, rows[i][c], t)  # row i untouched: uncomputes
-            bld.pool_release(t)
-
-            for q in seg:
-                circ.x(q)
-            if seg:
-                circ.mcx(seg, g)
-            else:
-                circ.x(g)
-            for q in seg:
-                circ.x(q)
-            bld.pool_release(g)
-    return start, len(circ.gates)
+                # Elimination sweep, guarded on g and the pivot present.
+                with bld.mirrored(lambda: bld.pool_flag(ones=[g, rows[i][c]])) as t:
+                    for r in range(m):
+                        if r == i:
+                            continue
+                        e = bld.fresh()
+                        circ.toffoli(t, rows[r][c], e)
+                        for d in range(c + 1, n):
+                            circ.toffoli(e, rows[i][d], rows[r][d])
+                        circ.cnot(e, rows[r][c])
 
 
 def rref_circuit(m: int, n: int) -> Synthesis:
@@ -384,101 +402,54 @@ def kernel_core(
     """
     circ = bld.circ
     l, n = len(rows), len(rows[0])
-    r_start, r_end = rref_core(bld, rows)
-
-    # flag <- [rank == n-1]: in reduced form rank >= n-1 iff row n-2 is
-    # nonzero, rank <= n-1 iff row n-1 (when present) is zero.
-    def zero_test(row: list[int]) -> int:
-        z = bld.pool_alloc()
-        for q in row:
-            circ.x(q)
-        circ.mcx(row, z)
-        for q in row:
-            circ.x(q)
-        return z
-
-    def undo_zero_test(z: int, row: list[int]) -> None:
-        for q in row:
-            circ.x(q)
-        circ.mcx(row, z)
-        for q in row:
-            circ.x(q)
-        bld.pool_release(z)
-
-    if l < n - 1:
-        pass  # rank < n-1 always; flag stays 0
-    elif n == 1:
-        zb = zero_test(rows[0])
-        circ.cnot(zb, flag)
-        undo_zero_test(zb, rows[0])
-    elif l == n - 1:
-        za = zero_test(rows[n - 2])
-        circ.x(flag)
-        circ.cnot(za, flag)
-        undo_zero_test(za, rows[n - 2])
-    else:
-        za = zero_test(rows[n - 2])
-        zb = zero_test(rows[n - 1])
-        circ.x(za)
-        circ.toffoli(za, zb, flag)
-        circ.x(za)
-        undo_zero_test(zb, rows[n - 1])
-        undo_zero_test(za, rows[n - 2])
 
     # Leading-entry indicators: lead[i][j] = [row i's first 1 is at j].
-    nrows = min(l, n - 1)
-    lead: dict[tuple[int, int], int] = {}
-    for i in range(nrows):
-        for j in range(i, n):
-            q = bld.pool_alloc()
-            prefix = [rows[i][d] for d in range(j)]
-            for p in prefix:
-                circ.x(p)
-            circ.mcx(prefix + [rows[i][j]], q)
-            for p in prefix:
-                circ.x(p)
-            lead[i, j] = q
-
     # piv[j] = [some row leads at column j]; X turns it into a free-column
     # indicator. With rank n-1 exactly one column of 0..n-1 is free.
-    piv: list[int] = []
-    for j in range(n):
-        q = bld.pool_alloc()
+    nrows = min(l, n - 1)
+
+    def indicators() -> tuple[dict[tuple[int, int], int], list[int]]:
+        lead: dict[tuple[int, int], int] = {}
         for i in range(nrows):
-            if (i, j) in lead:
-                circ.cnot(lead[i, j], q)
-        circ.x(q)
-        piv.append(q)
+            for j in range(i, n):
+                lead[i, j] = bld.pool_flag(zeros=rows[i][:j], ones=[rows[i][j]])
+        piv: list[int] = []
+        for j in range(n):
+            q = bld.pool_alloc()
+            for i in range(nrows):
+                if (i, j) in lead:
+                    circ.cnot(lead[i, j], q)
+            circ.x(q)
+            piv.append(q)
+        return lead, piv
 
-    # Kernel vector: 1 at the free column j, and at each pivot column p
-    # the reduced matrix entry of p's row in column j.
-    for j in range(n):
-        circ.toffoli(flag, piv[j], s_out[j])
-        for i in range(nrows):
-            for p in range(i, j):
-                if (i, p) in lead:
-                    circ.mcx([flag, lead[i, p], rows[i][j], piv[j]], s_out[p])
+    with bld.mirrored(lambda: rref_core(bld, rows)):
+        # flag <- [rank == n-1]: in reduced form rank >= n-1 iff row n-2 is
+        # nonzero, rank <= n-1 iff row n-1 (when present) is zero.
+        if l < n - 1:
+            pass  # rank < n-1 always; flag stays 0
+        elif n == 1:
+            with bld.mirrored(lambda: bld.pool_flag(zeros=rows[0])) as zb:
+                circ.cnot(zb, flag)
+        elif l == n - 1:
+            with bld.mirrored(lambda: bld.pool_flag(zeros=rows[n - 2])) as za:
+                circ.x(flag)
+                circ.cnot(za, flag)
+        else:
+            with bld.mirrored(
+                lambda: (bld.pool_flag(zeros=rows[n - 2]), bld.pool_flag(zeros=rows[n - 1]))
+            ) as (za, zb):
+                bld.flip_if(flag, zeros=[za], ones=[zb])
 
-    for j in range(n - 1, -1, -1):
-        circ.x(piv[j])
-        for i in range(nrows - 1, -1, -1):
-            if (i, j) in lead:
-                circ.cnot(lead[i, j], piv[j])
-        bld.pool_release(piv[j])
-    for i in range(nrows - 1, -1, -1):
-        for j in range(n - 1, i - 1, -1):
-            q = lead[i, j]
-            prefix = [rows[i][d] for d in range(j)]
-            for p in prefix:
-                circ.x(p)
-            circ.mcx(prefix + [rows[i][j]], q)
-            for p in prefix:
-                circ.x(p)
-            bld.pool_release(q)
-
-    # Undo the reduction: matrix register and its ancillas return to the
-    # state they arrived in.
-    circ.extend([g.inverse() for g in reversed(circ.gates[r_start:r_end])])
+        # Kernel vector: 1 at the free column j, and at each pivot column p
+        # the reduced matrix entry of p's row in column j.
+        with bld.mirrored(indicators) as (lead, piv):
+            for j in range(n):
+                circ.toffoli(flag, piv[j], s_out[j])
+                for i in range(nrows):
+                    for p in range(i, j):
+                        if (i, p) in lead:
+                            circ.mcx([flag, lead[i, p], rows[i][j], piv[j]], s_out[p])
 
 
 def kernel_circuit(l: int, n: int) -> Synthesis:
@@ -510,35 +481,35 @@ def kernel_circuit(l: int, n: int) -> Synthesis:
 # Classical wrappers (pack input, run the basis tracker, unpack output)
 
 
+def pack_matrix(a: BitMatrix, above: int = 0) -> int:
+    """Basis index of ``a`` on a register at qubit i*cols + j.
+
+    That is the rows of ``a`` concatenated; ``above`` goes to the qubits
+    from rows*cols on.
+    """
+    bits = above << (a.rows * a.cols)
+    for i, row in enumerate(a.row_bits):
+        bits |= row << (i * a.cols)
+    return bits
+
+
+def unpack_matrix(bits: int, rows: int, cols: int) -> BitMatrix:
+    """The rows x cols matrix register at qubits 0..rows*cols-1 of ``bits``."""
+    mask = (1 << cols) - 1
+    return BitMatrix(rows, cols, [(bits >> (i * cols)) & mask for i in range(rows)])
+
+
 def solve_with_circuit(a: BitMatrix, b: BitVector, jordan: bool = False) -> BitVector:
     """Run a solver circuit on classical data and read back x."""
-    n = a.rows
-    syn = jordan_solve_circuit(n) if jordan else gauss_solve_circuit(n)
-    bits = 0
-    for i in range(n):
-        for j in range(n):
-            if a.get(i, j):
-                bits |= 1 << (i * n + j)
-        if b.get(i):
-            bits |= 1 << (n * n + i)
-    out = sim.run_basis(syn.circuit, bits)
-    return BitVector(n, sim.extract_bits(out, list(syn.circuit.registers["b"])))
+    syn = jordan_solve_circuit(a.rows) if jordan else gauss_solve_circuit(a.rows)
+    out = sim.run_basis(syn.circuit, pack_matrix(a, b.bits))
+    return BitVector(a.rows, sim.extract_bits(out, list(syn.circuit.registers["b"])))
 
 
 def rref_with_circuit(a: BitMatrix) -> BitMatrix:
     """Run the reduction circuit on classical data and read back the matrix."""
     syn = rref_circuit(a.rows, a.cols)
-    bits = 0
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a.get(i, j):
-                bits |= 1 << (i * a.cols + j)
-    out = sim.run_basis(syn.circuit, bits)
-    rows = [
-        sim.extract_bits(out, [i * a.cols + j for j in range(a.cols)])
-        for i in range(a.rows)
-    ]
-    return BitMatrix(a.rows, a.cols, rows)
+    return unpack_matrix(sim.run_basis(syn.circuit, pack_matrix(a)), a.rows, a.cols)
 
 
 def kernel_with_circuit(y: BitMatrix) -> tuple[int, BitVector, BitMatrix, int]:
@@ -547,24 +518,9 @@ def kernel_with_circuit(y: BitMatrix) -> tuple[int, BitVector, BitMatrix, int]:
     Returns (flag, s, matrix register after, ancilla bits after); the last
     two let tests confirm the uncompute really restored everything.
     """
-    syn = kernel_circuit(y.rows, y.cols)
-    circ = syn.circuit
-    bits = 0
-    for i in range(y.rows):
-        for j in range(y.cols):
-            if y.get(i, j):
-                bits |= 1 << (i * y.cols + j)
-    out = sim.run_basis(circ, bits)
+    circ = kernel_circuit(y.rows, y.cols).circuit
+    out = sim.run_basis(circ, pack_matrix(y))
     s = BitVector(y.cols, sim.extract_bits(out, list(circ.registers["s"])))
     flag = sim.extract_bits(out, list(circ.registers["flag"]))
-    after = BitMatrix(
-        y.rows,
-        y.cols,
-        [
-            sim.extract_bits(out, [i * y.cols + j for j in range(y.cols)])
-            for i in range(y.rows)
-        ],
-    )
-    data = y.rows * y.cols + y.cols + 1
-    anc = out >> data
-    return flag, s, after, anc
+    after = unpack_matrix(out, y.rows, y.cols)
+    return flag, s, after, out >> (y.rows * y.cols + y.cols + 1)

@@ -195,13 +195,6 @@ def suite_gf2() -> SuiteResult:
 # Suite: circuits
 
 
-def _pack_matrix(a: BitMatrix, extra: int = 0) -> int:
-    bits = 0
-    for i in range(a.rows):
-        bits |= a.row_bits[i] << (i * a.cols)
-    return bits | (extra << (a.rows * a.cols))
-
-
 def _truth_table(circ, inputs: list[int]) -> list[int]:
     """Images of every input under a permutation circuit, in one kernel call."""
     out = sim.run_basis_batch(circ.gates, circ.oracles, np.array(inputs, dtype=np.int64))
@@ -212,7 +205,7 @@ def _solver_equivalence(jordan: bool) -> Check:
     syn = synth.jordan_solve_circuit(3) if jordan else synth.gauss_solve_circuit(3)
     b_reg = list(syn.circuit.registers["b"])
     cases = [(a, b) for a in _invertible_matrices(3) for b in range(8)]
-    outs = _truth_table(syn.circuit, [_pack_matrix(a, b) for a, b in cases])
+    outs = _truth_table(syn.circuit, [synth.pack_matrix(a, b) for a, b in cases])
     bad = 0
     for (a, b), out in zip(cases, outs):
         got = sim.extract_bits(out, b_reg)
@@ -220,16 +213,6 @@ def _solver_equivalence(jordan: bool) -> Check:
             bad += 1
     name = "jordan_solver_matches_classical" if jordan else "gauss_solver_matches_classical"
     return Check(name, bad == 0, f"{len(cases)} systems, {bad} mismatches")
-
-
-def _stage_formula(n: int) -> list[synth.StageCost]:
-    out = []
-    for c in range(n):
-        w = n - 1 - c
-        out.append(synth.StageCost("pivot", c, w, w * (w + 2), w))
-        out.append(synth.StageCost("eliminate", c, 2 * w, w * (w + 1), w))
-    out.append(synth.StageCost("back_substitute", -1, 0, n * (n - 1) // 2, 0))
-    return out
 
 
 # Columns per block of the norm check. Over the six circuits, widths 8-20
@@ -286,17 +269,16 @@ def suite_circuits() -> SuiteResult:
 
     syn = synth.rref_circuit(3, 3)
     matrices = list(_all_matrices(3))
-    outs = _truth_table(syn.circuit, [_pack_matrix(a) for a in matrices])
+    outs = _truth_table(syn.circuit, [synth.pack_matrix(a) for a in matrices])
     bad = 0
     for a, out in zip(matrices, outs):
-        rows = [(out >> (3 * i)) & 7 for i in range(3)]
-        if rows != rref(a).matrix.row_bits:
+        if synth.unpack_matrix(out, 3, 3).row_bits != rref(a).matrix.row_bits:
             bad += 1
     res.add("rref_circuit_matches_classical", bad == 0, f"512 matrices, {bad} mismatches")
 
     bad = []
     for n in range(2, 9):
-        if synth.gauss_solve_circuit(n).stages != _stage_formula(n):
+        if synth.gauss_solve_circuit(n).stages != synth.gauss_stage_costs(n):
             bad.append(n)
         if synth.jordan_solve_circuit(n).stages != synth.jordan_stage_costs(n):
             bad.append(n)

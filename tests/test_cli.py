@@ -61,6 +61,17 @@ def test_verify_deferred_with_shape(tmp_path):
     assert payload["checks"][0]["name"] == "deferred_n2_l2"
 
 
+@pytest.mark.parametrize(
+    "n, l", [("0", "0"), ("1", "2"), ("3", "0"), ("2", "-1")]
+)
+def test_verify_deferred_rejects_a_bad_shape(tmp_path, n, l):
+    proc = run_cli(["verify", "deferred", "--n", n, "--l", l], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert "--n >= 2 and --l >= 1" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_verify_unknown_suite(tmp_path):
     proc = run_cli(["verify", "nosuch"], tmp_path)
     assert proc.returncode == 2
@@ -78,7 +89,24 @@ def test_gms_cap_exceeded(tmp_path):
     assert "cap" in proc.stderr
 
 
-@pytest.mark.parametrize("cap", ["abc", "0"])
+def test_gms_rejects_negative_t_max(tmp_path):
+    proc = run_cli(["gms", "--m", "1", "--n", "2", "--l", "1", "--t-max", "-1"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert "--t-max" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        {"QGMS_QUBIT_CAP": "abc"},
+        {"QGMS_QUBIT_CAP": "0"},
+        {"SOURCE_DATE_EPOCH": "abc"},
+        {"SOURCE_DATE_EPOCH": "1e9"},
+    ],
+    ids=["abc", "0", "epoch-abc", "epoch-1e9"],
+)
 @pytest.mark.parametrize(
     "args",
     [
@@ -87,11 +115,12 @@ def test_gms_cap_exceeded(tmp_path):
         ["gms", "--m", "1", "--n", "2", "--l", "1"],
     ],
 )
-def test_bad_qubit_cap_is_a_usage_error(tmp_path, args, cap):
-    proc = run_cli(args, tmp_path, {"QGMS_QUBIT_CAP": cap})
+def test_bad_qubit_cap_is_a_usage_error(tmp_path, args, env):
+    """So is any bad environment setting: one stderr line naming it, exit 2."""
+    proc = run_cli(args, tmp_path, env)
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1
-    assert "QGMS_QUBIT_CAP" in proc.stderr
+    assert next(iter(env)) in proc.stderr
     assert not list(tmp_path.iterdir())
 
 
