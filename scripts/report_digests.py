@@ -1,0 +1,89 @@
+"""Print one sha256 per pinned qgms output, to compare two checkouts.
+
+Runs the command line of the checkout at ROOT (default: the checkout
+holding this script) with SOURCE_DATE_EPOCH=1700000000 and prints one
+line "<output> <sha256>" for each of:
+
+- the stdout of ``verify gf2|circuits|counting|deferred|gms``, without
+  its wall-clock ``elapsed_s``;
+- ``gms --m 2 --n 2 --l 2`` and ``gms --m 1 --n 2 --l 3``: report and curve;
+- ``synth qge|qgje --n 12|40``: circuit text and resource report.
+
+Two checkouts write the same reports exactly when their digest lists are
+equal:
+
+    diff <(python scripts/report_digests.py PARENT) <(python scripts/report_digests.py)
+
+A command that exits non-zero (a failed self-check included) stops the
+script with exit 1.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+EPOCH = "1700000000"
+SUITES = ("gf2", "circuits", "counting", "deferred", "gms")
+GMS_SHAPES = ((2, 2, 2), (1, 2, 3))
+SYNTH_RUNS = (("qge", 12), ("qgje", 12), ("qge", 40), ("qgje", 40))
+
+
+def qgms(root: Path, args: list[str], cwd: Path) -> str:
+    """Stdout of ``python -m qgms ARGS`` run from ``root``'s sources."""
+    env = dict(os.environ, SOURCE_DATE_EPOCH=EPOCH, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgms", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode:
+        sys.exit(f"qgms {' '.join(args)} exited {proc.returncode}: {proc.stderr.strip()}")
+    return proc.stdout
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(root: Path):
+    """Yield (output name, sha256) for every pinned output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for suite in SUITES:
+            payload = json.loads(qgms(root, ["verify", suite], out))
+            del payload["elapsed_s"]
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            yield f"verify_{suite}", sha256(text.encode())
+        for m, n, l in GMS_SHAPES:
+            run = out / f"gms_m{m}_n{n}_l{l}"
+            qgms(root, ["gms", "--m", str(m), "--n", str(n), "--l", str(l), "--out", str(run)], out)
+            yield f"{run.name}_report", sha256((run / "gms_report.json").read_bytes())
+            yield f"{run.name}_curve", sha256((run / "gms_curve.csv").read_bytes())
+        for kind, n in SYNTH_RUNS:
+            qgms(root, ["synth", kind, "--n", str(n), "--out", str(out)], out)
+            for part in ("circuit.txt", "resources.json"):
+                name = f"{kind}_n{n}_{part}"
+                yield name, sha256((out / name).read_bytes())
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        sys.exit(f"usage: {Path(__file__).name} [ROOT]")
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    if not (root / "src" / "qgms").is_dir():
+        sys.exit(f"{root} is not a qgms checkout (no src/qgms)")
+    for name, digest in digests(root):
+        print(name, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -118,10 +118,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gms(args: argparse.Namespace) -> int:
-    if args.m < 1 or args.n < 1 or args.l < 1:
-        return _usage_error("--m, --n and --l must be positive")
+    if args.m < 1 or args.l < 1:
+        return _usage_error("--m and --l must be positive")
+    if args.n < 2:
+        return _usage_error("--n must be at least 2")
     if args.t_max < 0:
         return _usage_error("--t-max must be at least 0")
+    if args.seed < 0:
+        return _usage_error("--seed must be a non-negative integer")
     need = required_qubits(args.m, args.n, args.l)
     cap = sim.qubit_cap()
     if need > cap:
@@ -136,9 +140,10 @@ def cmd_gms(args: argparse.Namespace) -> int:
     try:
         fx = build_fx_oracle(args.m, args.n, key, k1, k2, cipher_seed=args.seed)
         cfg = GmsConfig(args.m, args.n, args.l, fx, t=args.t_max)
-        report = analysis_report(cfg, t_max=args.t_max)
     except (ValueError, ZeroWhiteningKey) as exc:
         return _usage_error(str(exc))
+    try:
+        report = analysis_report(cfg, t_max=args.t_max)
     except sim.QubitCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 3

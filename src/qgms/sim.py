@@ -13,17 +13,28 @@ state or gate reaches past qubit 62. Two engines sit on top of it and
 keep their own code only for H, S, T and TDG:
 
 * ``run`` evolves a dense numpy amplitude vector (or a 2-D batch of
-  them, one state per column). It plans the circuit with ``dense_steps``:
-  each maximal run of permutation gates becomes one index map, the
-  kernel's images of all 2^q indices, and any other gate stays a step of
-  its own. ``apply_steps`` then scatters the amplitudes once per map and
-  applies H and the phase gates in place on a reshaped view that puts the
-  target qubit on its own axis, so it may overwrite its input; ``run``
-  passes it a copy. A plan kept as a list applies to any number of
-  column blocks; the norm check of ``verify`` runs its 100 random states
-  through one plan, ten columns at a time. Memory is 2^q complex doubles
-  per column, so a configurable qubit cap guards against accidental
-  blowups.
+  them, one state per column). It plans the circuit with
+  ``dense_steps``: each maximal run of permutation gates becomes one
+  gather map, the kernel's images of all 2^q indices under the run's
+  inverse (the run reversed, as every permutation gate is its own
+  inverse), and any other gate stays a step of its own. ``apply_steps``
+  then gathers the amplitudes once per map, which numpy does faster than
+  the matching scatter, and applies H and the phase gates in place on a
+  reshaped view that puts the target qubit on its own axis, so it may
+  overwrite its input; ``run`` passes it a copy. For target t and c
+  columns that view's inner loop runs over 2^t * c contiguous elements,
+  so a low target is bound by loop overhead. The plan therefore stores
+  the state under a qubit relabelling that puts every H/phase target in
+  the top positions (the qubit remapping of Haener and Steiger, "0.5
+  Petabyte Simulation of a 45-Qubit Quantum Circuit", SC17). The
+  relabelling is a set of disjoint swaps, so its index map is its own
+  inverse; it is folded into the first and last maps, or gathered once
+  at an end that has none. Only storage order changes, so every
+  amplitude is bit-identical to an unrelabelled run. A plan kept as a
+  list applies to any number of column blocks; the norm check of
+  ``verify`` runs its 100 random states through one plan, ten columns at
+  a time. Memory is 2^q complex doubles per column, so a configurable
+  qubit cap guards against accidental blowups.
 * ``run_sparse`` keeps a dict of nonzero amplitudes. A permutation run
   relabels its keys in one kernel call and keeps the dict's order.
   Circuits whose support stays polynomial (few Hadamards, mostly
@@ -41,7 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,12 +187,25 @@ def run(
 def dense_steps(circ: Circuit, cap: int | None = None):
     """The circuit as dense-engine steps, for ``apply_steps``.
 
-    Each maximal run of permutation gates becomes the index map that
-    ``run_basis_batch`` gives for every basis state; any other gate is
-    passed through. The cap is checked here, before anything is
-    allocated. The steps are generated lazily, so ``run`` holds one index
-    map at a time; a caller that applies them to several states keeps
-    them in a list. One oracle table per name serves every run.
+    Each maximal run of permutation gates, with map f, becomes the gather
+    map g = f^-1 that ``run_basis_batch`` gives for the reversed run over
+    every basis state: the amplitude that lands on j comes from g[j]. Any
+    other gate is passed through. The steps act on the state stored under
+    the qubit relabelling of ``_outer_swaps``, which puts every H/phase
+    target on the top qubits, with index map P (its own inverse: the
+    swaps are disjoint). A run's g becomes P g P, the map of the reversed
+    run with its gates' qubits relabelled. The first run's becomes g P
+    (the reversed run as written applied to P) and the last run's P g
+    (the relabelled one applied to P), moving the state into and out of
+    the relabelled order; an end without a run gets P as a step of its
+    own. H and phase gates act on their relabelled targets. With no swap
+    this is the unrelabelled plan; either way the output equals an
+    unrelabelled run bit for bit.
+
+    The cap is checked here, before anything is allocated. The steps are
+    generated lazily, so ``run`` holds one gather map at a time besides P;
+    a caller that applies them to several states keeps them in a list.
+    One oracle table per name serves every run.
 
     Raises:
         QubitCapExceeded: if the circuit is wider than the cap allows.
@@ -190,14 +214,68 @@ def dense_steps(circ: Circuit, cap: int | None = None):
     q = circ.qubit_count
     if q > limit:
         raise QubitCapExceeded(f"{q} qubits exceeds cap {limit}")
-    index = np.arange(1 << q, dtype=np.int64)
-    tables: dict[str, np.ndarray] = {}
-    return (
-        run_basis_batch(seg, circ.oracles, index, tables)
-        if isinstance(seg, list)
-        else seg
-        for seg in _segments(circ.gates)
+    return _planned_steps(circ, _outer_swaps(circ.gates, q))
+
+
+def _outer_swaps(gates: list[Gate], q: int) -> list[tuple[int, int]]:
+    """Pair each H/phase target below the top positions with a free top qubit.
+
+    With k distinct targets the top positions are q-k..q-1; as many
+    targets lie below them as non-targets lie in them, so the pairs are
+    disjoint swaps that leave every target on top.
+    """
+    targets = {g.targets[0] for g in gates if g.kind not in _PERMUTATION_KINDS}
+    top = q - len(targets)
+    low = sorted(t for t in targets if t < top)
+    free = [p for p in range(top, q) if p not in targets]
+    return list(zip(low, free))
+
+
+def _swap_bits(bits: np.ndarray, swaps: list[tuple[int, int]]) -> np.ndarray:
+    """Exchange bits a and b of every index for each (a, b) in ``swaps``, in place."""
+    for a, b in swaps:
+        diff = ((bits >> a) ^ (bits >> b)) & 1
+        bits ^= (diff << a) | (diff << b)
+    return bits
+
+
+def _relabel_map(q: int, swaps: list[tuple[int, int]]) -> np.ndarray:
+    """Index map P of the swaps over all 2^q indices.
+
+    P moves bits, so P(hi | lo) = P(hi) | P(lo) for the high and low
+    halves of an index; the full map is the OR of two half-width tables.
+    """
+    h = q // 2
+    low = _swap_bits(np.arange(1 << h, dtype=np.int64), swaps)
+    high = _swap_bits(np.arange(1 << (q - h), dtype=np.int64) << h, swaps)
+    return np.bitwise_or.outer(high, low).ravel()
+
+
+def _relabelled(gate: Gate, relabel: dict[int, int]) -> Gate:
+    return replace(
+        gate,
+        targets=tuple(relabel.get(t, t) for t in gate.targets),
+        controls=tuple(relabel.get(c, c) for c in gate.controls),
     )
+
+
+def _planned_steps(circ: Circuit, swaps: list[tuple[int, int]]):
+    relabel = dict(swaps + [(b, a) for a, b in swaps])
+    index = _relabel_map(circ.qubit_count, swaps)
+    tables: dict[str, np.ndarray] = {}
+    segs = list(_segments(circ.gates))
+    if swaps and not isinstance(segs[0], list):
+        yield index
+    for i, seg in enumerate(segs):
+        if not isinstance(seg, list):
+            yield _relabelled(seg, relabel)
+            continue
+        back = seg[::-1]  # the inverse run: every permutation gate is an involution
+        gates = back if i == 0 else [_relabelled(g, relabel) for g in back]
+        start = index if i in (0, len(segs) - 1) else np.arange(len(index), dtype=np.int64)
+        yield run_basis_batch(gates, circ.oracles, start, tables)
+    if swaps and not isinstance(segs[-1], list):
+        yield index
 
 
 def apply_steps(steps, amps: np.ndarray) -> np.ndarray:
@@ -208,9 +286,7 @@ def apply_steps(steps, amps: np.ndarray) -> np.ndarray:
     """
     for step in steps:
         if isinstance(step, np.ndarray):
-            moved = np.empty_like(amps)
-            moved[step] = amps
-            amps = moved
+            amps = np.take(amps, step, axis=0)
         else:
             amps = _dense_apply(amps, step)
     return amps

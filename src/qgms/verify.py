@@ -220,26 +220,38 @@ def _solver_equivalence(jordan: bool) -> Check:
 # amplitudes (kernel_2x2) is 10 MB. No block may hold a single column:
 # numpy sums a lone column's norm in another order, so its bits differ.
 _NORM_BLOCK = 10
+# Rows of the (2^q, count) draw taken from the generator at a time.
+_DRAW_ROWS = 4096
 
 
 def _norm_deviation(circ, count: int, seed: int) -> float:
     """Largest |norm - 1| over ``count`` random unit states run through ``circ``.
 
-    The states are drawn as one (2^q, count) batch, real parts then
-    imaginary parts, and run in blocks of ``_NORM_BLOCK`` columns through
-    one plan of the circuit. Each column's norm and amplitudes do not
-    depend on which columns share its block.
+    The states are the columns of one (2^q, count) batch of normals, real
+    parts then imaginary parts, drawn in row chunks straight into a
+    block-major buffer: block b holds columns b*_NORM_BLOCK onward as one
+    contiguous (2^q, _NORM_BLOCK) array, normalised and run in place
+    through one plan of the circuit (which stores the state with every
+    H/phase target on its outer qubits; see ``sim.dense_steps``). Each
+    column's norm and amplitudes do not depend on which columns share its
+    block, so the result equals one run of the whole batch bit for bit.
+
+    Raises:
+        ValueError: if ``count`` is not a multiple of ``_NORM_BLOCK``.
     """
-    rng = np.random.default_rng(seed)
-    q = circ.qubit_count
-    real = rng.normal(size=(1 << q, count))
-    imag = rng.normal(size=(1 << q, count))
+    if count % _NORM_BLOCK:
+        raise ValueError(f"count must be a multiple of {_NORM_BLOCK}, got {count}")
     steps = list(sim.dense_steps(circ))
+    size = 1 << circ.qubit_count
+    rng = np.random.default_rng(seed)
+    z = np.empty((count // _NORM_BLOCK, size, _NORM_BLOCK), dtype=np.complex128)
+    for part in (z.real, z.imag):
+        for row in range(0, size, _DRAW_ROWS):
+            chunk = rng.standard_normal((min(_DRAW_ROWS, size - row), count))
+            rows = chunk.reshape(len(chunk), -1, _NORM_BLOCK)
+            part[:, row : row + len(chunk)] = rows.transpose(1, 0, 2)
     worst = 0.0
-    for start in range(0, count, _NORM_BLOCK):
-        cols = slice(start, start + _NORM_BLOCK)
-        block = real[:, cols].astype(np.complex128)
-        block.imag = imag[:, cols]
+    for block in z:
         block /= np.linalg.norm(block, axis=0, keepdims=True)
         out = sim.apply_steps(steps, block)
         worst = max(worst, float(np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0))))

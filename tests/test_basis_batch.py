@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qgms.circuit import Circuit, Gate
 from qgms.sim import (
     StateVector,
+    _dense_apply,
     apply_steps,
     dense_steps,
     run,
@@ -123,6 +124,55 @@ def test_planned_steps_on_column_blocks_equal_one_run_of_the_batch(circ, seed, w
     for start in range(0, batch.shape[1], width):
         block = batch[:, start : start + width].copy()
         assert np.array_equal(apply_steps(steps, block), whole[:, start : start + width])
+
+
+PHASE_KINDS = ["H", "S", "T", "TDG"]
+
+
+@st.composite
+def relabelled_circuits(draw):
+    """Circuits whose plan relabels qubits: H/phase gates on low targets,
+    some led or closed by such a gate, some with no permutation gate."""
+    base = draw(circuits(draw(st.sampled_from([ALL_KINDS, PHASE_KINDS])), (3, 7), 16))
+    q = base.qubit_count
+    gates = list(base.gates)
+    if draw(st.booleans()):
+        gates.insert(0, Gate(draw(st.sampled_from(PHASE_KINDS)), (draw(st.integers(0, 1)),)))
+    if draw(st.booleans()):
+        gates.append(Gate(draw(st.sampled_from(PHASE_KINDS)), (draw(st.integers(0, q - 1)),)))
+    gates.insert(draw(st.integers(0, len(gates))), Gate("H", (0,)))
+    return Circuit(q, gates, oracles=base.oracles)
+
+
+def unrelabelled_run(circ, amps):
+    """The circuit on the logical qubits: one kernel map per permutation
+    run, ``_dense_apply`` on each H/phase gate's own target."""
+    perm = []
+    for gate in [*circ.gates, None]:
+        if gate is not None and gate.kind in KINDS:
+            perm.append(gate)
+            continue
+        if perm:
+            moved = np.empty_like(amps)
+            moved[run_basis_batch(perm, circ.oracles, every_input(circ))] = amps
+            amps, perm = moved, []
+        if gate is not None:
+            amps = _dense_apply(amps, gate)
+    return amps
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabelled_circuits(), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_relabelled_plan_equals_unrelabelled_run_bit_for_bit(circ, seed, width):
+    q = circ.qubit_count
+    shape = (1 << q,) if width == 0 else (1 << q, width)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    steps = list(dense_steps(circ))
+    outer = {g.targets[0] for g in circ.gates if g.kind in PHASE_KINDS}
+    planned = {s.targets[0] for s in steps if not isinstance(s, np.ndarray)}
+    assert planned == set(range(q - len(outer), q))
+    assert np.array_equal(apply_steps(steps, amps.copy()), unrelabelled_run(circ, amps))
 
 
 def wide_circuit():

@@ -97,6 +97,22 @@ def test_gms_rejects_negative_t_max(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_gms_rejects_n_below_two(tmp_path):
+    proc = run_cli(["gms", "--m", "1", "--n", "1", "--l", "1"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert "--n" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_gms_rejects_negative_seed(tmp_path):
+    proc = run_cli(["gms", "--m", "1", "--n", "2", "--l", "1", "--seed", "-1"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert "--seed" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "env",
     [

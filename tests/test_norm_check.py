@@ -35,3 +35,12 @@ def test_blocked_norm_deviation_equals_one_shot_batch_bit_for_bit():
             continue
         got = verify._norm_deviation(circ, 100, seed=seed)
         assert got.hex() == one_shot_norm_deviation(circ, 100, seed).hex(), label
+
+
+def test_blocked_norm_deviation_through_hadamards_equals_one_shot_batch():
+    """search_1_2_1 is the one norm circuit with H gates, so its plan relabels qubits."""
+    seed, circ = next(
+        (i, c) for i, (label, c) in enumerate(verify._norm_circuits()) if label == "search_1_2_1"
+    )
+    got = verify._norm_deviation(circ, 100, seed=seed)
+    assert got.hex() == one_shot_norm_deviation(circ, 100, seed).hex()
