@@ -6,7 +6,8 @@ line "<output> <sha256>" for each of:
 
 - the stdout of ``verify gf2|circuits|counting|deferred|gms``, without
   its wall-clock ``elapsed_s``;
-- ``gms --m 2 --n 2 --l 2`` and ``gms --m 1 --n 2 --l 3``: report and curve;
+- ``gms`` at (m, n, l) = (2, 2, 2), (1, 2, 3) and (3, 3, 2): report and
+  curve;
 - ``synth qge|qgje --n 12|40``: circuit text and resource report.
 
 Two checkouts write the same reports exactly when their digest lists are
@@ -30,7 +31,7 @@ from pathlib import Path
 
 EPOCH = "1700000000"
 SUITES = ("gf2", "circuits", "counting", "deferred", "gms")
-GMS_SHAPES = ((2, 2, 2), (1, 2, 3))
+GMS_SHAPES = ((2, 2, 2), (1, 2, 3), (3, 3, 2))
 SYNTH_RUNS = (("qge", 12), ("qgje", 12), ("qge", 40), ("qgje", 40))
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from . import sim
 from .amplify import grover_probability
 from .circuit import Circuit, Gate
-from .gf2 import BitMatrix, BitVector, nullspace_basis, parity, rank
+from .gf2 import BitMatrix, BitVector, nullspace_basis, orthogonal_table, parity, rank
 from .counting import CountReport, count_rank_n_minus_1, rank_deficit_one_formula
 from .oracles import (
     FxOracle,
@@ -156,20 +156,30 @@ def ug_classifier(k_prime, y_matrix: BitMatrix, oracle: FxOracle, plaintexts) ->
     return 1
 
 
+def _kernel_vector(n: int, l: int) -> np.ndarray:
+    """kernel[packed Y]: the nonzero s with Y s = 0 if Y has rank n-1, else 0."""
+    orth = orthogonal_table(n, l)[:, 1:]
+    return np.where(orth.sum(axis=1) == 1, orth.argmax(axis=1) + 1, 0)
+
+
+def _passes(cfg: GmsConfig) -> np.ndarray:
+    """passes[k', s]: s != 0 and f(k', p) = f(k', p xor s) for every plaintext p."""
+    res = np.array([cfg.oracle.residual_table(kp) for kp in range(1 << cfg.m)])
+    s = np.arange(1 << cfg.n)
+    passes = np.logical_and.reduce([res[:, [p]] == res[:, p ^ s] for p in cfg.plaintexts])
+    passes[:, 0] = False
+    return passes
+
+
 @lru_cache(maxsize=8)
-def _accept_table(cfg: GmsConfig) -> tuple[tuple[int, ...], ...]:
-    """accept[k'][packed Y] for every key value and row content."""
-    n, l = cfg.n, cfg.l
-    plaintexts = cfg.plaintexts
-    out = []
-    for kp in range(1 << cfg.m):
-        row = []
-        for ybits in range(1 << (n * l)):
-            rows = [(ybits >> (n * j)) & ((1 << n) - 1) for j in range(l)]
-            mat = BitMatrix(l, n, tuple(rows))
-            row.append(ug_classifier(kp, mat, cfg.oracle, plaintexts))
-        out.append(tuple(row))
-    return tuple(out)
+def _accept_table(cfg: GmsConfig) -> np.ndarray:
+    """accept[k', packed Y]: ``ug_classifier`` for every key value and row content.
+
+    Read-only, because the cache hands the same array to every caller.
+    """
+    accept = _passes(cfg)[:, _kernel_vector(cfg.n, cfg.l)]
+    accept.flags.writeable = False
+    return accept
 
 
 def _data_fields(cfg: GmsConfig, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +194,7 @@ def _data_fields(cfg: GmsConfig, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def classifier_mask(cfg: GmsConfig) -> np.ndarray:
     """Data-space states the phase oracle flips (any key value)."""
-    accept = np.array(_accept_table(cfg), dtype=bool)
+    accept = _accept_table(cfg)
     idx = np.arange(1 << cfg.data_qubits)
     kp, ybits = _data_fields(cfg, idx)
     return accept[kp, ybits]
@@ -199,11 +209,7 @@ def success_mask(cfg: GmsConfig) -> np.ndarray:
 
 def rank_only_mask(cfg: GmsConfig) -> np.ndarray:
     """Correct key and rank-(n-1) rows, without the plaintext filter."""
-    n, l = cfg.n, cfg.l
-    rank_ok = np.zeros(1 << (n * l), dtype=bool)
-    for ybits in range(1 << (n * l)):
-        rows = tuple((ybits >> (n * j)) & ((1 << n) - 1) for j in range(l))
-        rank_ok[ybits] = rank(BitMatrix(l, n, rows)) == n - 1
+    rank_ok = _kernel_vector(cfg.n, cfg.l) != 0
     idx = np.arange(1 << cfg.data_qubits)
     kp, ybits = _data_fields(cfg, idx)
     return rank_ok[ybits] & (kp == cfg.oracle.key)
@@ -290,13 +296,6 @@ def build_gms_circuit(cfg: GmsConfig) -> tuple[Circuit, dict[str, tuple[int, int
     }
 
 
-def _slice(circ: Circuit, lo: int, hi: int) -> Circuit:
-    piece = Circuit(circ.qubit_count)
-    piece.gates = list(circ.gates[lo:hi])
-    piece.oracles = circ.oracles
-    return piece
-
-
 def _check_round(
     cfg: GmsConfig,
     circ: Circuit,
@@ -348,11 +347,11 @@ def run_gms(
     The default ``"operator"`` engine first proves that one round of
     ``build_gms_circuit`` is a sign flip on ``classifier_mask`` followed
     by a reflection about the data-register mean, then applies that
-    operator directly. ``"sparse"`` and ``"dense"`` run the circuit gate
-    by gate; they are the references the operator engine is tested
+    operator directly. ``"sparse"`` runs the circuit gate by gate on the
+    sparse engine; it is the reference the operator engine is tested
     against.
     """
-    if engine not in ("operator", "sparse", "dense"):
+    if engine not in ("operator", "sparse"):
         raise ValueError(f"unknown engine {engine!r}")
     _check_cap(cfg)
     t_iters = cfg.t if t_max is None else t_max
@@ -371,7 +370,7 @@ def run_gms(
             curve.append(float(np.sum(np.abs(amps[success]) ** 2)))
         return curve
 
-    def marked_mass_sparse(state):
+    def marked_mass(state):
         scratch = 0.0
         mass = 0.0
         for idx, amp in state.items():
@@ -386,34 +385,12 @@ def run_gms(
 
     lo, hi = slices["prep"]
     round_lo, round_hi = slices["compute"][0], slices["diffusion"][1]
-    if engine == "sparse":
-        state: dict[int, complex] = {0: 1.0 + 0.0j}
-        state = sim.sparse_apply(state, circ.gates[lo:hi], circ.oracles)
-        curve = [marked_mass_sparse(state)]
-        for _ in range(t_iters):
-            state = sim.sparse_apply(state, circ.gates[round_lo:round_hi], circ.oracles)
-            curve.append(marked_mass_sparse(state))
-        return curve
-
-    if circ.qubit_count > sim.qubit_cap():
-        raise sim.QubitCapExceeded(
-            f"dense engine needs {circ.qubit_count} qubits; cap is {sim.qubit_cap()}"
-        )
-    state = sim.run(_slice(circ, lo, hi))
-    probs = state.probabilities()
-
-    def marked_mass_dense(probs):
-        scratch = probs[data_size:].sum()
-        if scratch > 1e-9:
-            raise RuntimeError("scratch register failed to uncompute")
-        return float(probs[:data_size][success].sum())
-
-    curve = [marked_mass_dense(probs)]
-    round_circ = _slice(circ, round_lo, round_hi)
+    state: dict[int, complex] = {0: 1.0 + 0.0j}
+    state = sim.sparse_apply(state, circ.gates[lo:hi], circ.oracles)
+    curve = [marked_mass(state)]
     for _ in range(t_iters):
-        state = sim.run(round_circ, state=state)
-        probs = state.probabilities()
-        curve.append(marked_mass_dense(probs))
+        state = sim.sparse_apply(state, circ.gates[round_lo:round_hi], circ.oracles)
+        curve.append(marked_mass(state))
     return curve
 
 
@@ -471,6 +448,11 @@ def amplitude_stats(state, marked) -> AmplitudeStats:
     return AmplitudeStats(n_states, r, k0, l0, sigma2, p_max)
 
 
+def _populated_states(m: int, n: int, l: int) -> int:
+    """Populated basis states when the correct-key residual is exactly 2-to-1."""
+    return (2**m - 1) * 2 ** (2 * n * l) + 2 ** (2 * (n - 1) * l)
+
+
 def two_to_one_model(m: int, n: int, l: int) -> dict:
     """Closed-form accounting that idealizes the correct-key residual.
 
@@ -478,17 +460,14 @@ def two_to_one_model(m: int, n: int, l: int) -> dict:
     residual is treated as exactly 2-to-1, so its branch populates
     2^(2(n-1)l) basis states, each wrong key populates 2^(2nl), and only
     populated states are counted. The marked count folds the f-register
-    multiplicity 2^((n-1)l) over the rank-(n-1) row matrices. Real
+    multiplicity 2^((n-1)l) over the rank-(n-1) row matrices whose
+    kernel vector is the period s = 1. Real
     permutation ciphers at block width 2 violate the 2-to-1 idealization
     (their correct-key residual is constant), which is why these numbers
     are reported alongside, not instead of, the exact statistics.
     """
-    hyperplane = [x for x in range(1 << n) if parity(x & 1) == 0]
-    matrices = 0
-    for rows in product(hyperplane, repeat=l):
-        if rank(BitMatrix(l, n, tuple(rows))) == n - 1:
-            matrices += 1
-    n_states = (2**m - 1) * 2 ** (2 * n * l) + 2 ** (2 * (n - 1) * l)
+    matrices = int(np.count_nonzero(_kernel_vector(n, l) == 1))
+    n_states = _populated_states(m, n, l)
     r = 2 ** ((n - 1) * l) * matrices
     sum_l_sq = (2**m - 1) / 2**m + (2 ** (2 * (n - 1) * l) - r) / (
         2**m * 2 ** (2 * (n - 1) * l)
@@ -614,9 +593,8 @@ def query_ratio(m: int, n: int) -> QueryRatio:
     2^(m+2n) - 2^(2n), so the implied iteration count (pi/4) sqrt(bound)
     beats exhaustive key search (pi/4) sqrt(2^(m+n)) for every m, n here.
     """
-    l = n
-    n_states = (2**m - 1) * 2 ** (2 * n * l) + 2 ** (2 * (n - 1) * l)
-    r = 2 ** ((n - 1) * l) * rank_deficit_one_formula(n)
+    n_states = _populated_states(m, n, n)
+    r = 2 ** ((n - 1) * n) * rank_deficit_one_formula(n)
     ratio = Fraction(n_states, r)
     bound = 2 ** (m + 2 * n) - 2 ** (2 * n)
     return QueryRatio(
@@ -631,6 +609,20 @@ def query_ratio(m: int, n: int) -> QueryRatio:
 
 # ---------------------------------------------------------------------------
 # Deferred vs immediate measurement
+
+
+def _row_distribution(per_copy, n: int, l: int):
+    """Yield (packed Y, P(Y)) for l independent rows drawn from ``per_copy``.
+
+    Matrices come in ``product`` order and those of probability 0 are
+    skipped; callers sum in this order, so their floats are reproducible.
+    """
+    for rows in product(range(1 << n), repeat=l):
+        p = 1.0
+        for y in rows:
+            p *= per_copy[y]
+        if p != 0.0:
+            yield sum(y << (n * j) for j, y in enumerate(rows)), p
 
 
 @dataclass(frozen=True)
@@ -653,24 +645,10 @@ def deferred_vs_immediate(n: int, l: int, s: int, seed: int = 0) -> DeferredComp
     """
     oracle = build_simon_oracle(n, s, rng=seed)
     per_copy = y_marginal(oracle.table, n)
-
-    def solve(rows):
-        mat = BitMatrix(l, n, tuple(rows))
-        if rank(mat) != n - 1:
-            return 0
-        return nullspace_basis(mat)[0].bits
-
+    kernel = _kernel_vector(n, l)
     dist_immediate: dict[tuple[int, int], float] = {}
-    for rows in product(range(1 << n), repeat=l):
-        p = 1.0
-        for y in rows:
-            p *= per_copy[y]
-        if p == 0.0:
-            continue
-        ybits = 0
-        for j, y in enumerate(rows):
-            ybits |= y << (n * j)
-        key = (ybits, solve(rows))
+    for ybits, p in _row_distribution(per_copy, n, l):
+        key = (ybits, int(kernel[ybits]))
         dist_immediate[key] = dist_immediate.get(key, 0.0) + p
 
     # deferred: rounds, then the reversible kernel solver, measured at the end
@@ -697,12 +675,7 @@ def deferred_vs_immediate(n: int, l: int, s: int, seed: int = 0) -> DeferredComp
         abs(dist_immediate.get(k, 0.0) - dist_deferred.get(k, 0.0)) for k in keys
     )
 
-    hyperplane = [x for x in range(1 << n) if parity(x & s) == 0]
-    r = sum(
-        1
-        for rows in product(hyperplane, repeat=l)
-        if rank(BitMatrix(l, n, tuple(rows))) == n - 1
-    )
+    r = int(np.count_nonzero(kernel == s))
     p_correct = sum(p for (ybits, sv), p in dist_immediate.items() if sv == s)
     return DeferredComparison(dist_immediate, dist_deferred, max_abs_diff, p_correct, r)
 
@@ -743,6 +716,11 @@ def hybrid_accept(k_prime: int, rows, oracle: FxOracle, plaintexts) -> int:
     return 0
 
 
+def _hybrid_table(cfg: GmsConfig) -> np.ndarray:
+    """accept[k', packed Y]: ``hybrid_accept`` for every key value and row content."""
+    return _passes(cfg) @ orthogonal_table(cfg.n, cfg.l).T
+
+
 def hybrid_baseline(cfg: GmsConfig, reps: int = 4) -> HybridReport:
     """Immediate measurement plus classical search over keys, solved exactly.
 
@@ -752,20 +730,13 @@ def hybrid_baseline(cfg: GmsConfig, reps: int = 4) -> HybridReport:
     that exactly the true key is marked and the key search finds it at its
     best iteration count t_star.
     """
-    n, l = cfg.n, cfg.l
-    plaintexts = cfg.plaintexts
+    accept = _hybrid_table(cfg)
     accept_probs = []
     for kp in range(1 << cfg.m):
-        table = cfg.oracle.residual_table(kp)
-        per_copy = y_marginal(table, n)
+        per_copy = y_marginal(cfg.oracle.residual_table(kp), cfg.n)
         total = 0.0
-        for rows in product(range(1 << n), repeat=l):
-            p = 1.0
-            for y in rows:
-                p *= per_copy[y]
-            if p == 0.0:
-                continue
-            if hybrid_accept(kp, rows, cfg.oracle, plaintexts):
+        for ybits, p in _row_distribution(per_copy, cfg.n, cfg.l):
+            if accept[kp, ybits]:
                 total += p
         accept_probs.append(total)
 

@@ -1,13 +1,16 @@
 """Dense GF(2) linear algebra on bit-packed matrices.
 
 Rows are stored as Python integers, bit j of a row being column j. All
-arithmetic is XOR/AND, so row operations are single integer ops and the
-module has no dependency beyond the standard library.
+arithmetic is XOR/AND, so row operations are single integer ops. The
+scalar routines are the reference; ``orthogonal_table`` answers the same
+kernel questions for every small matrix of one shape at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class SingularMatrix(Exception):
@@ -334,6 +337,22 @@ def nullspace_basis(a: BitMatrix) -> list[BitVector]:
                 bits |= 1 << p
         basis.append(BitVector(a.cols, bits))
     return basis
+
+
+def orthogonal_table(n: int, l: int) -> np.ndarray:
+    """orth[Y, s] for every packed l x n matrix Y and every s < 2^n.
+
+    Row j of Y is bits n*j .. n*j+n-1 of the index Y. The entry is True
+    when y_j . s = 0 for every row, so row Y lists the kernel of Y: it
+    has rank n-1 exactly when one nonzero s is True.
+    """
+    size = 1 << n
+    dot_zero = np.array([[parity(y & s) == 0 for s in range(size)] for y in range(size)])
+    ys = np.arange(1 << (n * l))
+    orth = np.ones((ys.size, size), dtype=bool)
+    for j in range(l):
+        orth &= dot_zero[(ys >> (n * j)) & (size - 1)]
+    return orth
 
 
 def general_solution(

@@ -1,5 +1,6 @@
 """Property tests of the GF(2) layer on random shapes past the exhaustive 3x3 range."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -12,6 +13,7 @@ from qgms.gf2 import (
     general_solution,
     is_rref,
     nullspace_basis,
+    orthogonal_table,
     rank,
     rref,
 )
@@ -77,3 +79,16 @@ def test_general_solution_is_none_exactly_when_inconsistent(a, data):
     assert (got is None) == (rank(aug) > rank(a))
     if got is not None:
         assert a.mul_vec(got[0]) == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_orthogonal_table_lists_the_kernel(n, l, data):
+    ybits = data.draw(st.integers(0, (1 << (n * l)) - 1))
+    a = BitMatrix(l, n, [(ybits >> (n * j)) & ((1 << n) - 1) for j in range(l)])
+    kernel = {0}
+    for v in nullspace_basis(a):
+        kernel |= {k ^ v.bits for k in kernel}
+    row = orthogonal_table(n, l)[ybits]
+    assert {int(s) for s in np.flatnonzero(row)} == kernel
+    assert (int(row[1:].sum()) == 1) == (rank(a) == n - 1)
