@@ -617,12 +617,14 @@ def _row_distribution(per_copy, n: int, l: int):
     Matrices come in ``product`` order and those of probability 0 are
     skipped; callers sum in this order, so their floats are reproducible.
     """
-    for rows in product(range(1 << n), repeat=l):
-        p = 1.0
-        for y in rows:
-            p *= per_copy[y]
+    rows = [[(y << (n * j), py) for y, py in enumerate(per_copy) if py != 0.0] for j in range(l)]
+    for picks in product(*rows):
+        ybits, p = 0, 1.0
+        for y, py in picks:
+            ybits |= y
+            p *= py
         if p != 0.0:
-            yield sum(y << (n * j) for j, y in enumerate(rows)), p
+            yield ybits, p
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             kwargs = {"n": args.n, "l": args.l}
     elif args.n is not None or args.l is not None:
         return _usage_error("--n/--l only apply to the deferred suite")
-    result = verify.run_suite(args.suite, **kwargs)
+    try:
+        result = verify.run_suite(args.suite, **kwargs)
+    except sim.QubitCapExceeded as exc:
+        print(str(exc), file=sys.stderr)
+        return 3
     payload = result.as_dict()
     payload["manifest"] = run_manifest("verify", {"suite": args.suite, **kwargs}, {})
     sys.stdout.write(_dump_json(payload))

@@ -7,10 +7,12 @@ concatenated, which the tests lean on heavily.
 
 Every permutation gate (X, CNOT, TOFFOLI, MCX, ORACLE) is simulated by
 one kernel, ``run_basis_batch``. It pushes an array of basis indices
-through a run of such gates with numpy bit operations, one vector step
-per gate. Indices are int64, or Python ints in an object array once a
-state or gate reaches past qubit 62. Two engines sit on top of it and
-keep their own code only for H, S, T and TDG:
+through a run of such gates on bit planes: each touched qubit becomes
+one packed plane of bits, and each gate is one vector step on planes.
+The planes are the same whatever holds the indices, int64 or Python
+ints of any width in an object array, so one gate loop serves both.
+Two engines sit on top of it and keep their own code only for H, S, T
+and TDG:
 
 * ``run`` evolves a dense numpy amplitude vector (or a 2-D batch of
   them, one state per column). It plans the circuit with
@@ -27,18 +29,20 @@ keep their own code only for H, S, T and TDG:
   the state under a qubit relabelling that puts every H/phase target in
   the top positions (the qubit remapping of Haener and Steiger, "0.5
   Petabyte Simulation of a 45-Qubit Quantum Circuit", SC17). The
-  relabelling is a set of disjoint swaps, so its index map is its own
-  inverse; it is folded into the first and last maps, or gathered once
-  at an end that has none. Only storage order changes, so every
-  amplitude is bit-identical to an unrelabelled run. A plan kept as a
-  list applies to any number of column blocks; the norm check of
-  ``verify`` runs its 100 random states through one plan, ten columns at
-  a time. Memory is 2^q complex doubles per column, so a configurable
-  qubit cap guards against accidental blowups.
+  relabelling is a set of disjoint swaps, three CNOTs each, so its
+  index map is its own inverse; the kernel runs those CNOTs ahead of
+  the first and last maps, or alone at an end that has none. Only
+  storage order changes, so every amplitude is bit-identical to an
+  unrelabelled run. A plan kept as a list applies to any number of
+  column blocks; the norm check of ``verify`` runs its 100 random states
+  through one plan, ten columns at a time. Memory is 2^q complex doubles
+  per column, so a configurable qubit cap guards against accidental
+  blowups.
 * ``run_sparse`` keeps a dict of nonzero amplitudes. A permutation run
   relabels its keys in one kernel call and keeps the dict's order.
   Circuits whose support stays polynomial (few Hadamards, mostly
-  permutation gates) run far beyond the dense cap, at any width.
+  permutation gates) run far beyond the dense cap, at any width; the
+  same cap bounds the support at 2^cap entries.
 
 ``run_basis`` tracks a single basis state as one integer, gate by gate.
 It is the scalar reference the kernel is tested against, and it makes
@@ -52,7 +56,9 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -67,7 +73,7 @@ _PERMUTATION_KINDS = frozenset({"X", "CNOT", "TOFFOLI", "MCX", "ORACLE"})
 
 
 class QubitCapExceeded(Exception):
-    """Dense simulation would allocate more qubits than the configured cap."""
+    """A dense state, or a sparse state's support, would pass 2^cap entries."""
 
 
 class UnresolvedOracle(Exception):
@@ -75,7 +81,7 @@ class UnresolvedOracle(Exception):
 
 
 def qubit_cap() -> int:
-    """Dense-simulation qubit limit; override with QGMS_QUBIT_CAP."""
+    """Qubit limit of both state engines; override with QGMS_QUBIT_CAP."""
     raw = os.environ.get("QGMS_QUBIT_CAP")
     if raw is None:
         return DEFAULT_QUBIT_CAP
@@ -88,15 +94,16 @@ def qubit_cap() -> int:
     return cap
 
 
-def _oracle_fn(oracles: dict[str, object], gate: Gate):
-    fn = oracles.get(gate.name or "")
-    if fn is None or not callable(fn):
-        raise UnresolvedOracle(f"no callable bound for oracle {gate.name!r}")
-    return fn
-
-
-def _oracle_table(fn, n_in: int) -> list[int]:
-    return [int(fn(x)) for x in range(1 << n_in)]
+def _oracle_table(tables: dict[str, np.ndarray], oracles: dict[str, object], gate: Gate):
+    """The ORACLE gate's output for every input, built once per name in ``tables``."""
+    name = gate.name or ""
+    if name not in tables:
+        fn = oracles.get(name)
+        if fn is None or not callable(fn):
+            raise UnresolvedOracle(f"no callable bound for oracle {name!r}")
+        inputs = range(1 << len(gate.controls))
+        tables[name] = np.array([int(fn(x)) for x in inputs], dtype=np.int64)
+    return tables[name]
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +201,18 @@ def dense_steps(circ: Circuit, cap: int | None = None):
     the qubit relabelling of ``_outer_swaps``, which puts every H/phase
     target on the top qubits, with index map P (its own inverse: the
     swaps are disjoint). A run's g becomes P g P, the map of the reversed
-    run with its gates' qubits relabelled. The first run's becomes g P
-    (the reversed run as written applied to P) and the last run's P g
-    (the relabelled one applied to P), moving the state into and out of
-    the relabelled order; an end without a run gets P as a step of its
-    own. H and phase gates act on their relabelled targets. With no swap
-    this is the unrelabelled plan; either way the output equals an
-    unrelabelled run bit for bit.
+    run with its gates' qubits relabelled. P itself is three CNOTs per
+    swap, which the kernel runs ahead of the first and last runs: the
+    first run's map becomes g P (P, then the reversed run as written) and
+    the last run's P g (P, then the relabelled one), moving the state
+    into and out of the relabelled order. An end without a run gets P
+    alone as a step of its own. H and phase gates act on their
+    relabelled targets. With no swap this is the unrelabelled plan;
+    either way the output equals an unrelabelled run bit for bit.
 
     The cap is checked here, before anything is allocated. The steps are
-    generated lazily, so ``run`` holds one gather map at a time besides P;
-    a caller that applies them to several states keeps them in a list.
+    generated lazily, so ``run`` holds one gather map at a time; a
+    caller that applies them to several states keeps them in a list.
     One oracle table per name serves every run.
 
     Raises:
@@ -231,26 +239,6 @@ def _outer_swaps(gates: list[Gate], q: int) -> list[tuple[int, int]]:
     return list(zip(low, free))
 
 
-def _swap_bits(bits: np.ndarray, swaps: list[tuple[int, int]]) -> np.ndarray:
-    """Exchange bits a and b of every index for each (a, b) in ``swaps``, in place."""
-    for a, b in swaps:
-        diff = ((bits >> a) ^ (bits >> b)) & 1
-        bits ^= (diff << a) | (diff << b)
-    return bits
-
-
-def _relabel_map(q: int, swaps: list[tuple[int, int]]) -> np.ndarray:
-    """Index map P of the swaps over all 2^q indices.
-
-    P moves bits, so P(hi | lo) = P(hi) | P(lo) for the high and low
-    halves of an index; the full map is the OR of two half-width tables.
-    """
-    h = q // 2
-    low = _swap_bits(np.arange(1 << h, dtype=np.int64), swaps)
-    high = _swap_bits(np.arange(1 << (q - h), dtype=np.int64) << h, swaps)
-    return np.bitwise_or.outer(high, low).ravel()
-
-
 def _relabelled(gate: Gate, relabel: dict[int, int]) -> Gate:
     return replace(
         gate,
@@ -261,21 +249,24 @@ def _relabelled(gate: Gate, relabel: dict[int, int]) -> Gate:
 
 def _planned_steps(circ: Circuit, swaps: list[tuple[int, int]]):
     relabel = dict(swaps + [(b, a) for a, b in swaps])
-    index = _relabel_map(circ.qubit_count, swaps)
-    tables: dict[str, np.ndarray] = {}
+    # P as gates: three CNOTs swap two qubits.
+    swap = [Gate("CNOT", (t,), (c,)) for a, b in swaps for t, c in ((b, a), (a, b), (b, a))]
     segs = list(_segments(circ.gates))
     if swaps and not isinstance(segs[0], list):
-        yield index
+        segs.insert(0, [])
+    if swaps and not isinstance(segs[-1], list):
+        segs.append([])
+    tables: dict[str, np.ndarray] = {}
     for i, seg in enumerate(segs):
         if not isinstance(seg, list):
             yield _relabelled(seg, relabel)
             continue
         back = seg[::-1]  # the inverse run: every permutation gate is an involution
         gates = back if i == 0 else [_relabelled(g, relabel) for g in back]
-        start = index if i in (0, len(segs) - 1) else np.arange(len(index), dtype=np.int64)
-        yield run_basis_batch(gates, circ.oracles, start, tables)
-    if swaps and not isinstance(segs[-1], list):
-        yield index
+        if i in (0, len(segs) - 1):
+            gates = swap + gates
+        every = np.arange(1 << circ.qubit_count, dtype=np.int64)
+        yield run_basis_batch(gates, circ.oracles, every, tables)
 
 
 def apply_steps(steps, amps: np.ndarray) -> np.ndarray:
@@ -290,13 +281,6 @@ def apply_steps(steps, amps: np.ndarray) -> np.ndarray:
         else:
             amps = _dense_apply(amps, step)
     return amps
-
-
-def _control_mask(gate: Gate) -> int:
-    mask = 0
-    for c in gate.controls:
-        mask |= 1 << c
-    return mask
 
 
 def _segments(gates: list[Gate]):
@@ -381,19 +365,27 @@ def sparse_apply(
     """Apply a gate list to a sparse state; returns a new dict.
 
     Each run of permutation gates relabels the keys in one
-    ``run_basis_batch`` call, as int64 or, once the state or the run
-    reaches past qubit 62, as Python ints. One oracle table per name
-    serves every run.
+    ``run_basis_batch`` call, on an object array of Python ints, so keys
+    of any width take the same path. One oracle table per name serves
+    every run. An H at most doubles the support, so the qubit cap bounds
+    it as it bounds the dense engine: no more than 2^cap entries.
+
+    Raises:
+        QubitCapExceeded: before an H that could take the support past
+            2^cap entries.
     """
+    cap = qubit_cap()
     tables: dict[str, np.ndarray] = {}
     for seg in _segments(gates):
         if isinstance(seg, list):
-            top = max(max(g.qubits) for g in seg)
-            wide = top > 62 or max(state, default=0) >> 63
-            keys = np.array(list(state), dtype=object if wide else np.int64)
+            keys = np.array(list(state), dtype=object)
             moved = run_basis_batch(seg, oracles, keys, tables)
             state = dict(zip(moved.tolist(), state.values()))
         elif seg.kind == "H":
+            if 2 * len(state) > 1 << cap:
+                raise QubitCapExceeded(
+                    f"sparse support of {2 * len(state)} entries would pass 2^{cap}"
+                )
             t_bit = 1 << seg.targets[0]
             nxt: dict[int, complex] = {}
             for k, a in state.items():
@@ -442,28 +434,16 @@ def run_basis(circ: Circuit, bits: int) -> int:
     Raises:
         ValueError: on H, S, T or TDG, which do not permute basis states.
     """
-    tables: dict[str, list[int]] = {}
+    tables: dict[str, np.ndarray] = {}
     for gate in circ.gates:
-        kind = gate.kind
-        if kind in ("X", "CNOT", "TOFFOLI", "MCX"):
-            cmask = _control_mask(gate)
-            if (bits & cmask) == cmask:
-                bits ^= 1 << gate.targets[0]
-        elif kind == "ORACLE":
-            name = gate.name or ""
-            if name not in tables:
-                tables[name] = _oracle_table(
-                    _oracle_fn(circ.oracles, gate), len(gate.controls)
-                )
-            in_val = 0
-            for j, c in enumerate(gate.controls):
-                in_val |= ((bits >> c) & 1) << j
-            delta = tables[name][in_val]
-            for j, t in enumerate(gate.targets):
-                if (delta >> j) & 1:
-                    bits ^= 1 << t
-        else:
-            raise ValueError(f"{kind} is not a permutation gate")
+        if gate.kind not in _PERMUTATION_KINDS:
+            raise ValueError(f"{gate.kind} is not a permutation gate")
+        if gate.kind == "ORACLE":
+            table = _oracle_table(tables, circ.oracles, gate)
+            delta = int(table[extract_bits(bits, gate.controls)])
+            bits ^= pack_bits([delta >> j for j in range(len(gate.targets))], gate.targets)
+        elif all((bits >> c) & 1 for c in gate.controls):
+            bits ^= 1 << gate.targets[0]
     return bits
 
 
@@ -475,48 +455,52 @@ def run_basis_batch(
 ) -> np.ndarray:
     """Track an array of basis states through permutation-only gates.
 
-    ``bits`` holds basis indices; the result is a new array with entry i
-    the image of ``bits[i]``, as ``run_basis`` would compute it. It is
-    int64 unless ``bits`` is an object array, whose Python ints carry
-    indices of any width. ``_tables`` lets the runs of one circuit share
-    their oracle tables, keyed by oracle name.
+    ``bits`` holds basis indices, int64 or Python ints of any width in an
+    object array; the result is a new array of the same dtype whose entry
+    i is the image of ``bits[i]``, as ``run_basis`` computes it. The gates
+    act on bit planes (bit slicing, as in Biham, "A fast new DES
+    implementation in software", FSE 1997): each touched qubit's bit of
+    every index, packed eight to a byte. An X/CNOT/TOFFOLI/MCX XORs the
+    AND of its control planes into its target plane; an ORACLE looks up
+    its control planes as a table index and XORs the result into its
+    target planes. The planes are written back at the end, so one gate
+    loop serves both dtypes. ``_tables`` lets the runs of one circuit
+    share their oracle tables, keyed by oracle name.
 
     Raises:
         ValueError: on H, S, T or TDG, which do not permute basis states,
             or, for int64 indices, on a gate past qubit 62.
     """
-    wide = isinstance(bits, np.ndarray) and bits.dtype == object
-    bits = np.array(bits, dtype=object if wide else np.int64)
+    bits = np.asarray(bits)
+    for gate in gates:
+        if gate.kind not in _PERMUTATION_KINDS:
+            raise ValueError(f"{gate.kind} is not a permutation gate")
+    touched = {q for gate in gates for q in gate.qubits}
+    if bits.dtype != object and max(touched, default=0) > 62:
+        raise ValueError("int64 basis indices hold at most 63 qubits")
+    unpack = partial(np.unpackbits, count=len(bits), bitorder="little")
+    planes = {q: np.packbits(((bits >> q) & 1) != 0, bitorder="little") for q in touched}
     tables = {} if _tables is None else _tables
     for gate in gates:
-        kind = gate.kind
-        if kind not in _PERMUTATION_KINDS:
-            raise ValueError(f"{kind} is not a permutation gate")
-        if not wide and max(gate.qubits) > 62:
-            raise ValueError("int64 basis indices hold at most 63 qubits")
-        if kind == "ORACLE":
-            name = gate.name or ""
-            if name not in tables:
-                tables[name] = np.asarray(
-                    _oracle_table(_oracle_fn(oracles, gate), len(gate.controls)),
-                    dtype=np.int64,
-                )
-            in_val = np.zeros_like(bits)
+        if gate.kind == "ORACLE":
+            index = np.zeros(len(bits), dtype=np.int64)
             for j, c in enumerate(gate.controls):
-                in_val |= ((bits >> c) & 1) << j
-            delta = tables[name][in_val.astype(np.int64, copy=False)].astype(
-                bits.dtype, copy=False
-            )
+                index |= unpack(planes[c]).astype(np.int64) << j
+            delta = _oracle_table(tables, oracles, gate)[index]
             for j, t in enumerate(gate.targets):
-                bits ^= ((delta >> j) & 1) << t
+                planes[t] ^= np.packbits((delta >> j) & 1, bitorder="little")
         else:
-            cmask = _control_mask(gate)
-            hit = (bits & cmask) == cmask
-            np.bitwise_xor(bits, 1 << gate.targets[0], out=bits, where=hit)
-    return bits
+            hit = np.uint8(0xFF)
+            for c in gate.controls:
+                hit = hit & planes[c]
+            planes[gate.targets[0]] ^= hit
+    out = bits & ~sum(1 << q for q in touched)
+    for q, plane in planes.items():
+        out |= unpack(plane).astype(bits.dtype) << q
+    return out
 
 
-def pack_bits(values: list[int], qubits: list[int]) -> int:
+def pack_bits(values: Sequence[int], qubits: Sequence[int]) -> int:
     """Place values[j] on qubit qubits[j] in a basis index."""
     bits = 0
     for v, q in zip(values, qubits):
@@ -525,7 +509,7 @@ def pack_bits(values: list[int], qubits: list[int]) -> int:
     return bits
 
 
-def extract_bits(bits: int, qubits: list[int]) -> int:
+def extract_bits(bits: int, qubits: Sequence[int]) -> int:
     """Collect the listed qubits of a basis index into a packed integer."""
     out = 0
     for j, q in enumerate(qubits):

@@ -1,6 +1,8 @@
 """Property tests: the batched basis tracker against the per-state engines,
 and the dense engine against the sparse one over every gate kind."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,41 @@ def test_wide_batch_with_python_int_indices_equals_single_state_tracker():
     got = run_basis_batch(circ.gates, circ.oracles, np.array(WIDE_INPUTS, dtype=object))
     assert got.dtype == object
     assert got.tolist() == [run_basis(circ, x) for x in WIDE_INPUTS]
+
+
+@settings(max_examples=80, deadline=None)
+@given(permutation_circuits(qubits=(4, 7)))
+def test_object_array_indices_take_the_int64_path_bit_for_bit(circ):
+    inputs = every_input(circ)
+    got = run_basis_batch(circ.gates, circ.oracles, inputs)
+    wide = run_basis_batch(circ.gates, circ.oracles, inputs.astype(object))
+    assert wide.dtype == object
+    assert wide.tolist() == got.tolist()
+
+
+def shifted(circ, offset):
+    """The circuit with every qubit moved up by ``offset``."""
+    gates = [
+        replace(
+            g,
+            targets=tuple(t + offset for t in g.targets),
+            controls=tuple(c + offset for c in g.controls),
+        )
+        for g in circ.gates
+    ]
+    return Circuit(circ.qubit_count + offset, gates, oracles=circ.oracles)
+
+
+@settings(max_examples=80, deadline=None)
+@given(permutation_circuits(qubits=(4, 7)), st.data())
+def test_gates_across_qubit_63_equal_single_state_tracker(circ, data):
+    """Shifted to qubits 60..66, every circuit straddles the int64 sign bit."""
+    wide = shifted(circ, 60)
+    inputs = data.draw(
+        st.lists(st.integers(0, (1 << wide.qubit_count) - 1), min_size=1, max_size=16)
+    )
+    got = run_basis_batch(wide.gates, wide.oracles, np.array(inputs, dtype=object))
+    assert got.tolist() == [run_basis(wide, x) for x in inputs]
 
 
 def test_wide_sparse_engine_matches_tracker_through_hadamards():

@@ -140,6 +140,24 @@ def test_bad_qubit_cap_is_a_usage_error(tmp_path, args, env):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args, cap",
+    [
+        (["verify", "circuits"], "8"),
+        (["verify", "gms"], "8"),
+        (["verify", "deferred", "--n", "3", "--l", "4"], "10"),
+    ],
+    ids=["circuits", "gms", "deferred-support"],
+)
+def test_verify_over_the_qubit_cap_exits_3(tmp_path, args, cap):
+    """The cap is a documented exit code, not a failed self-check."""
+    proc = run_cli(args, tmp_path, {"QGMS_QUBIT_CAP": cap})
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_gms_report_and_reproducibility(tmp_path):
     args = ["gms", "--m", "2", "--n", "2", "--l", "2", "--t-max", "4", "--seed", "7"]
     env = {"SOURCE_DATE_EPOCH": "1700000000"}

@@ -162,6 +162,17 @@ def test_basis_tracker_rejects_hadamard():
         run_basis(c, 0)
 
 
+def test_sparse_support_is_bounded_by_the_qubit_cap(monkeypatch):
+    c = Circuit(5)
+    for q in range(5):
+        c.h(q)
+    monkeypatch.setenv("QGMS_QUBIT_CAP", "4")
+    with pytest.raises(QubitCapExceeded):
+        run_sparse(c)
+    monkeypatch.setenv("QGMS_QUBIT_CAP", "5")
+    assert len(run_sparse(c)) == 32  # 2^cap entries is allowed
+
+
 def test_batched_tracker_rejects_non_permutations_and_wide_gates():
     c = Circuit(1)
     c.h(0)
