@@ -10,47 +10,11 @@ The package has three layers:
 * ``analysis``, ``counting``, ``verify``: exact success-probability
   bounds, coefficient-matrix counting, and the end-to-end checks the
   command line exposes.
+
+The root exports only ``__version__``; import the submodules
+(``from qgms import gf2``). ``circuit``, ``gf2``, ``synth`` and ``cli``
+import without numpy, so ``import qgms`` and ``qgms synth`` never load
+it; the other modules, and the ``verify`` and ``gms`` commands, do.
 """
 
 __version__ = "0.1.0"
-
-from .gf2 import (  # noqa: F401
-    BitMatrix,
-    BitVector,
-    SingularMatrix,
-    gaussian_eliminate,
-    general_solution,
-    nullspace_basis,
-    rank,
-    row_echelon,
-    rref,
-)
-
-from .circuit import Circuit, ResourceProfile, resource_profile  # noqa: F401
-from .amplify import (  # noqa: F401
-    amplitude_amplify,
-    grover_probability,
-    success_curve,
-)
-from .oracles import (  # noqa: F401
-    FxOracle,
-    SimonOracle,
-    build_fx_oracle,
-    build_simon_oracle,
-)
-from .synth import (  # noqa: F401
-    gauss_closed_form,
-    gauss_solve_circuit,
-    jordan_closed_form,
-    jordan_solve_circuit,
-    kernel_circuit,
-    rref_circuit,
-)
-from .counting import count_rank_n_minus_1, rank_deficit_one_formula  # noqa: F401
-from .analysis import (  # noqa: F401
-    GmsConfig,
-    amplitude_stats,
-    analysis_report,
-    optimal_iterations,
-    run_gms,
-)

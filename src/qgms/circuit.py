@@ -10,10 +10,15 @@ expands to 7 T gates, 6 CNOTs, 2 Hadamards and an S with T-depth 7, and a
 k-controlled X expands to a ladder of 2(k-1) Toffolis plus one CNOT using
 k-1 temporarily borrowed ancillas that come back clean. The expansion is
 never materialized as gates; the profile applies it arithmetically.
+
+The qubit cap of the simulators (``qubit_cap``, ``QubitCapExceeded``)
+is defined here too, so the command line checks it without loading
+numpy.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 
@@ -28,6 +33,26 @@ _KINDS = _SELF_INVERSE | {"S", "T", "TDG"}
 TOFFOLI_T_COUNT = 7
 TOFFOLI_T_DEPTH = 7
 TOFFOLI_CNOT_COUNT = 6
+
+DEFAULT_QUBIT_CAP = 24
+
+
+class QubitCapExceeded(Exception):
+    """A dense state, or a sparse state's support, would pass 2^cap entries."""
+
+
+def qubit_cap() -> int:
+    """Qubit limit of both state engines; override with QGMS_QUBIT_CAP."""
+    raw = os.environ.get("QGMS_QUBIT_CAP")
+    if raw is None:
+        return DEFAULT_QUBIT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"QGMS_QUBIT_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)

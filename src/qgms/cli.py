@@ -28,10 +28,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, sim, synth, verify
-from .analysis import GmsConfig, analysis_report, required_qubits
-from .circuit import resource_profile
-from .oracles import ZeroWhiteningKey, build_fx_oracle
+from . import __version__, synth
+from .circuit import QubitCapExceeded, qubit_cap, resource_profile
 
 
 def _timestamp() -> str:
@@ -100,6 +98,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     kwargs = {}
     if args.suite == "deferred":
         if (args.n is None) != (args.l is None):
@@ -112,7 +112,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error("--n/--l only apply to the deferred suite")
     try:
         result = verify.run_suite(args.suite, **kwargs)
-    except sim.QubitCapExceeded as exc:
+    except QubitCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 3
     payload = result.as_dict()
@@ -122,6 +122,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gms(args: argparse.Namespace) -> int:
+    from .analysis import GmsConfig, analysis_report, required_qubits
+    from .oracles import ZeroWhiteningKey, build_fx_oracle
+
     if args.m < 1 or args.l < 1:
         return _usage_error("--m and --l must be positive")
     if args.n < 2:
@@ -131,7 +134,7 @@ def cmd_gms(args: argparse.Namespace) -> int:
     if args.seed < 0:
         return _usage_error("--seed must be a non-negative integer")
     need = required_qubits(args.m, args.n, args.l)
-    cap = sim.qubit_cap()
+    cap = qubit_cap()
     if need > cap:
         print(
             f"configuration needs {need} qubits (m + 2nl + n + 1); cap is {cap}",
@@ -148,7 +151,7 @@ def cmd_gms(args: argparse.Namespace) -> int:
         return _usage_error(str(exc))
     try:
         report = analysis_report(cfg, t_max=args.t_max)
-    except sim.QubitCapExceeded as exc:
+    except QubitCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 3
     report["manifest"] = run_manifest(
@@ -210,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        sim.qubit_cap()
+        qubit_cap()
         _timestamp()
     except ValueError as exc:
         return _usage_error(str(exc))

@@ -9,8 +9,10 @@ kernel questions for every small matrix of one shape at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SingularMatrix(Exception):
@@ -346,6 +348,8 @@ def orthogonal_table(n: int, l: int) -> np.ndarray:
     when y_j . s = 0 for every row, so row Y lists the kernel of Y: it
     has rank n-1 exactly when one nonzero s is True.
     """
+    import numpy as np  # only here, so the rest of gf2 loads without numpy
+
     size = 1 << n
     dot_zero = np.array([[parity(y & s) == 0 for s in range(size)] for y in range(size)])
     ys = np.arange(1 << (n * l))

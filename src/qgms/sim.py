@@ -55,16 +55,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .circuit import Circuit, Gate
-
-DEFAULT_QUBIT_CAP = 24
+from .circuit import Circuit, Gate, QubitCapExceeded, qubit_cap
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _T_PHASE = cmath.exp(1j * math.pi / 4)
@@ -72,26 +69,8 @@ _PHASES = {"S": 1j, "T": _T_PHASE, "TDG": _T_PHASE.conjugate()}
 _PERMUTATION_KINDS = frozenset({"X", "CNOT", "TOFFOLI", "MCX", "ORACLE"})
 
 
-class QubitCapExceeded(Exception):
-    """A dense state, or a sparse state's support, would pass 2^cap entries."""
-
-
 class UnresolvedOracle(Exception):
     """An ORACLE gate names a function the circuit does not carry."""
-
-
-def qubit_cap() -> int:
-    """Qubit limit of both state engines; override with QGMS_QUBIT_CAP."""
-    raw = os.environ.get("QGMS_QUBIT_CAP")
-    if raw is None:
-        return DEFAULT_QUBIT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"QGMS_QUBIT_CAP must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _oracle_table(tables: dict[str, np.ndarray], oracles: dict[str, object], gate: Gate):
@@ -138,10 +117,7 @@ class StateVector:
         Index b of the result packs qubits[j] into bit j.
         """
         probs = self.probabilities()
-        idx = np.arange(1 << self.qubit_count)
-        key = np.zeros_like(idx)
-        for j, q in enumerate(qubits):
-            key |= ((idx >> q) & 1) << j
+        key = extract_bits(np.arange(1 << self.qubit_count), qubits)
         out = np.zeros(1 << len(qubits))
         np.add.at(out, key, probs)
         return out
@@ -152,12 +128,7 @@ class StateVector:
         rest = [q for q in range(self.qubit_count) if q not in keep]
         # Rearrange amplitudes into a (kept, rest) matrix.
         idx = np.arange(1 << self.qubit_count)
-        row = np.zeros_like(idx)
-        col = np.zeros_like(idx)
-        for j, q in enumerate(keep):
-            row |= ((idx >> q) & 1) << j
-        for j, q in enumerate(rest):
-            col |= ((idx >> q) & 1) << j
+        row, col = extract_bits(idx, keep), extract_bits(idx, rest)
         m = np.zeros((1 << len(keep), 1 << len(rest)), dtype=np.complex128)
         m[row, col] = self.amps
         rho = m @ m.conj().T
@@ -328,10 +299,7 @@ def measure(
     gen = np.random.default_rng(rng)
     probs = state.marginal(qubits)
     outcome = int(gen.choice(len(probs), p=probs / probs.sum()))
-    idx = np.arange(1 << state.qubit_count)
-    key = np.zeros_like(idx)
-    for j, q in enumerate(qubits):
-        key |= ((idx >> q) & 1) << j
+    key = extract_bits(np.arange(1 << state.qubit_count), qubits)
     amps = np.where(key == outcome, state.amps, 0.0)
     norm = np.sqrt(np.sum(np.abs(amps) ** 2))
     return outcome, StateVector(state.qubit_count, amps / norm)
@@ -410,9 +378,7 @@ def sparse_marginal(state: dict[int, complex], qubits: list[int]) -> dict[int, f
     """Measurement distribution of ``qubits`` from a sparse state."""
     out: dict[int, float] = {}
     for k, a in state.items():
-        key = 0
-        for j, q in enumerate(qubits):
-            key |= ((k >> q) & 1) << j
+        key = extract_bits(k, qubits)
         out[key] = out.get(key, 0.0) + abs(a) ** 2
     return out
 
@@ -510,8 +476,11 @@ def pack_bits(values: Sequence[int], qubits: Sequence[int]) -> int:
 
 
 def extract_bits(bits: int, qubits: Sequence[int]) -> int:
-    """Collect the listed qubits of a basis index into a packed integer."""
-    out = 0
+    """Collect the listed qubits of a basis index into a packed integer.
+
+    An integer array of indices gives the array of their packed values.
+    """
+    out = bits & 0
     for j, q in enumerate(qubits):
         out |= ((bits >> q) & 1) << j
     return out

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, gate_tally, resource_profile
 from .gf2 import BitMatrix, BitVector
-from . import sim
 
 
 @dataclass(frozen=True)
@@ -501,6 +500,8 @@ def unpack_matrix(bits: int, rows: int, cols: int) -> BitMatrix:
 
 def solve_with_circuit(a: BitMatrix, b: BitVector, jordan: bool = False) -> BitVector:
     """Run a solver circuit on classical data and read back x."""
+    from . import sim
+
     syn = jordan_solve_circuit(a.rows) if jordan else gauss_solve_circuit(a.rows)
     out = sim.run_basis(syn.circuit, pack_matrix(a, b.bits))
     return BitVector(a.rows, sim.extract_bits(out, list(syn.circuit.registers["b"])))
@@ -508,6 +509,8 @@ def solve_with_circuit(a: BitMatrix, b: BitVector, jordan: bool = False) -> BitV
 
 def rref_with_circuit(a: BitMatrix) -> BitMatrix:
     """Run the reduction circuit on classical data and read back the matrix."""
+    from . import sim
+
     syn = rref_circuit(a.rows, a.cols)
     return unpack_matrix(sim.run_basis(syn.circuit, pack_matrix(a)), a.rows, a.cols)
 
@@ -518,6 +521,8 @@ def kernel_with_circuit(y: BitMatrix) -> tuple[int, BitVector, BitMatrix, int]:
     Returns (flag, s, matrix register after, ancilla bits after); the last
     two let tests confirm the uncompute really restored everything.
     """
+    from . import sim
+
     circ = kernel_circuit(y.rows, y.cols).circuit
     out = sim.run_basis(circ, pack_matrix(y))
     s = BitVector(y.cols, sim.extract_bits(out, list(circ.registers["s"])))

@@ -188,3 +188,38 @@ def test_gms_rejects_bad_whitening_key(tmp_path):
         ["gms", "--m", "1", "--n", "2", "--l", "1", "--k1", "0"], tmp_path
     )
     assert proc.returncode == 2
+
+
+_NUMPY_CHECKPOINTS = """
+import contextlib, io, json, sys
+loaded = {}
+import qgms
+loaded["import qgms"] = "numpy" in sys.modules
+import qgms.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    qgms.cli.main(["--version"])
+loaded["qgms --version"] = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qgms.cli.main(["synth", "qge", "--n", "3", "--out", sys.argv[1]])
+loaded["qgms synth qge"] = "numpy" in sys.modules
+print(json.dumps({"code": code, "numpy_loaded": loaded}))
+"""
+
+
+def test_package_root_and_synth_start_without_numpy(tmp_path):
+    """A fresh interpreter, since this one already has numpy loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_CHECKPOINTS, str(tmp_path / "o")],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    assert result["numpy_loaded"] == {
+        "import qgms": False,
+        "qgms --version": False,
+        "qgms synth qge": False,
+    }
+    assert (tmp_path / "o" / "qge_n3_circuit.txt").is_file()
