@@ -17,6 +17,13 @@ equal:
 
 A command that exits non-zero (a failed self-check included) stops the
 script with exit 1.
+
+``pinned_digests.txt`` next to this script holds the ten digests that
+do not depend on the host: ``verify gf2``, ``verify counting`` and the
+eight ``synth`` outputs, which hold integers only. CI compares this
+script's matching lines with it. The other reports hold floats whose
+last bits can differ between CPUs, so they are compared checkout to
+checkout on one machine instead.
 """
 
 from __future__ import annotations

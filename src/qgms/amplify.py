@@ -26,56 +26,34 @@ def grover_probability(n_states: int, marked: int, t: int) -> float:
     return math.sin((2 * t + 1) * theta) ** 2
 
 
-def _as_mask(marked, size: int) -> np.ndarray:
-    if isinstance(marked, np.ndarray):
-        if marked.dtype != bool or marked.shape != (size,):
-            raise ValueError("mask must be a boolean array over all basis states")
-        return marked
-    if callable(marked):
-        return np.fromiter((bool(marked(i)) for i in range(size)), bool, size)
-    return np.isin(np.arange(size), list(marked))
-
-
-def _iterates(prep: Circuit, marked, initial: StateVector | None):
-    """Yield (mask, amps) after t = 0, 1, 2, ... iterations.
+def _iterates(prep: Circuit, marked):
+    """Yield (mask, amps) after t = 0, 1, 2, ... iterations from prep|0>.
 
     The next step negates the marked entries of the yielded array in
     place, so read it before advancing.
     """
-    anchor = run(prep)
-    state = anchor if initial is None else initial
-    mask = _as_mask(marked, len(anchor.amps))
-    amps = state.amps.copy()
-    ref = anchor.amps
+    ref = run(prep).amps
+    mask = np.isin(np.arange(len(ref)), list(marked))
+    amps = ref.copy()
     while True:
         yield mask, amps
         amps[mask] *= -1.0
         amps = 2.0 * np.vdot(ref, amps) * ref - amps
 
 
-def amplitude_amplify(
-    prep: Circuit,
-    marked,
-    iterations: int,
-    initial: StateVector | None = None,
-) -> StateVector:
-    """Apply the amplification iterate ``iterations`` times.
+def amplitude_amplify(prep: Circuit, marked, iterations: int) -> StateVector:
+    """Apply the amplification iterate ``iterations`` times to prep|0>.
 
-    ``marked`` may be a predicate on basis indices, a collection of
-    indices, or a boolean mask. The reflection axis is always the
-    prepared state prep|0>; ``initial`` optionally starts the iteration
-    from a different state than the one being reflected about, which is
-    how amplification from an arbitrary starting state is modelled.
+    ``marked`` is a collection of basis indices. The reflection axis is
+    the prepared state prep|0>, which is also the starting state.
     """
-    _, amps = next(islice(_iterates(prep, marked, initial), iterations, None))
+    _, amps = next(islice(_iterates(prep, marked), iterations, None))
     return StateVector(prep.qubit_count, amps)
 
 
-def success_curve(
-    prep: Circuit, marked, t_max: int, initial: StateVector | None = None
-) -> list[float]:
+def success_curve(prep: Circuit, marked, t_max: int) -> list[float]:
     """Marked-subspace probability after t = 0..t_max iterations."""
-    steps = islice(_iterates(prep, marked, initial), t_max + 1)
+    steps = islice(_iterates(prep, marked), t_max + 1)
     return [float(np.sum(np.abs(amps[mask]) ** 2)) for mask, amps in steps]
 
 

@@ -33,7 +33,7 @@ from . import sim
 from .amplify import grover_probability
 from .circuit import Circuit, Gate
 from .gf2 import BitMatrix, BitVector, nullspace_basis, orthogonal_table, parity, rank
-from .counting import CountReport, count_rank_n_minus_1, rank_deficit_one_formula
+from .counting import count_rank_n_minus_1, rank_deficit_one_formula
 from .oracles import (
     FxOracle,
     build_simon_oracle,
@@ -101,9 +101,10 @@ def required_qubits(m: int, n: int, l: int) -> int:
     return m + 2 * n * l + n + 1
 
 
-def _check_cap(cfg: GmsConfig) -> None:
+def _check_cap(m: int, n: int, l: int) -> None:
+    """Raise QubitCapExceeded if the m + 2nl + n + 1 qubits pass the cap."""
     cap = sim.qubit_cap()
-    need = cfg.required_qubits()
+    need = required_qubits(m, n, l)
     if need > cap:
         raise sim.QubitCapExceeded(
             f"configuration needs {need} qubits (m + 2nl + n + 1); cap is {cap}"
@@ -127,7 +128,7 @@ def prep_circuit(cfg: GmsConfig) -> Circuit:
 
 def prepare_initial_state(cfg: GmsConfig) -> sim.StateVector:
     """Exact state before any amplification iteration."""
-    _check_cap(cfg)
+    _check_cap(cfg.m, cfg.n, cfg.l)
     return sim.run(prep_circuit(cfg))
 
 
@@ -182,36 +183,29 @@ def _accept_table(cfg: GmsConfig) -> np.ndarray:
     return accept
 
 
-def _data_fields(cfg: GmsConfig, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split data-space indices into key value and packed y rows."""
-    kp = idx & ((1 << cfg.m) - 1)
-    ybits = np.zeros_like(idx)
-    for j in range(cfg.l):
-        yj = (idx >> (cfg.m + 2 * cfg.n * j)) & ((1 << cfg.n) - 1)
-        ybits |= yj << (cfg.n * j)
-    return kp, ybits
+def _data_fields(cfg: GmsConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Key value and packed y rows of every data-space index."""
+    key, ys, _ = cfg.layout()
+    idx = np.arange(1 << cfg.data_qubits)
+    return sim.extract_bits(idx, key), sim.extract_bits(idx, [q for y in ys for q in y])
 
 
 def classifier_mask(cfg: GmsConfig) -> np.ndarray:
     """Data-space states the phase oracle flips (any key value)."""
-    accept = _accept_table(cfg)
-    idx = np.arange(1 << cfg.data_qubits)
-    kp, ybits = _data_fields(cfg, idx)
-    return accept[kp, ybits]
+    kp, ybits = _data_fields(cfg)
+    return _accept_table(cfg)[kp, ybits]
 
 
 def success_mask(cfg: GmsConfig) -> np.ndarray:
     """Data-space states counted as success: correct key and accepted rows."""
-    idx = np.arange(1 << cfg.data_qubits)
-    kp, _ = _data_fields(cfg, idx)
+    kp, _ = _data_fields(cfg)
     return classifier_mask(cfg) & (kp == cfg.oracle.key)
 
 
 def rank_only_mask(cfg: GmsConfig) -> np.ndarray:
     """Correct key and rank-(n-1) rows, without the plaintext filter."""
     rank_ok = _kernel_vector(cfg.n, cfg.l) != 0
-    idx = np.arange(1 << cfg.data_qubits)
-    kp, ybits = _data_fields(cfg, idx)
+    kp, ybits = _data_fields(cfg)
     return rank_ok[ybits] & (kp == cfg.oracle.key)
 
 
@@ -335,40 +329,43 @@ def _check_round(
         raise RuntimeError("diffusion slice is not the reflection about the mean")
 
 
-def run_gms(
-    cfg: GmsConfig, t_max: int | None = None, engine: str = "operator"
-) -> list[float]:
+def run_gms(cfg: GmsConfig, t_max: int | None = None) -> list[float]:
     """Exact success probability of the deferred-measurement search.
 
     Returns the probability of measuring the correct key together with
     accepted y rows, for iteration counts t = 0..t_max. No measurement
     happens along the way; t = 0 is the freshly prepared state.
 
-    The default ``"operator"`` engine first proves that one round of
-    ``build_gms_circuit`` is a sign flip on ``classifier_mask`` followed
-    by a reflection about the data-register mean, then applies that
-    operator directly. ``"sparse"`` runs the circuit gate by gate on the
-    sparse engine; it is the reference the operator engine is tested
-    against.
+    It first proves that one round of ``build_gms_circuit`` is a sign
+    flip on ``classifier_mask`` followed by a reflection about the
+    data-register mean, then applies that operator directly.
+    ``run_gms_per_gate`` is the reference it is tested against.
     """
-    if engine not in ("operator", "sparse"):
-        raise ValueError(f"unknown engine {engine!r}")
-    _check_cap(cfg)
-    t_iters = cfg.t if t_max is None else t_max
+    _check_cap(cfg.m, cfg.n, cfg.l)
+    circ, slices = build_gms_circuit(cfg)
+    success = success_mask(cfg)
+    amps = prepare_initial_state(cfg).amps
+    flip = classifier_mask(cfg)
+    _check_round(cfg, circ, slices, flip, amps)
+    curve = [float(np.sum(np.abs(amps[success]) ** 2))]
+    for _ in range(cfg.t if t_max is None else t_max):
+        amps[flip] *= -1.0
+        amps = 2.0 * amps.mean() - amps
+        curve.append(float(np.sum(np.abs(amps[success]) ** 2)))
+    return curve
+
+
+def run_gms_per_gate(cfg: GmsConfig, t_max: int | None = None) -> list[float]:
+    """The ``run_gms`` curve from ``build_gms_circuit`` run gate by gate.
+
+    The sparse engine runs it: the pooled scratch qubits take the circuit
+    past the cap while the state stays sparse. Raises RuntimeError if
+    more than 1e-9 of probability is left on the scratch register.
+    """
+    _check_cap(cfg.m, cfg.n, cfg.l)
     circ, slices = build_gms_circuit(cfg)
     success = success_mask(cfg)
     data_size = 1 << cfg.data_qubits
-
-    if engine == "operator":
-        amps = prepare_initial_state(cfg).amps
-        flip = classifier_mask(cfg)
-        _check_round(cfg, circ, slices, flip, amps)
-        curve = [float(np.sum(np.abs(amps[success]) ** 2))]
-        for _ in range(t_iters):
-            amps[flip] *= -1.0
-            amps = 2.0 * amps.mean() - amps
-            curve.append(float(np.sum(np.abs(amps[success]) ** 2)))
-        return curve
 
     def marked_mass(state):
         scratch = 0.0
@@ -388,7 +385,7 @@ def run_gms(
     state: dict[int, complex] = {0: 1.0 + 0.0j}
     state = sim.sparse_apply(state, circ.gates[lo:hi], circ.oracles)
     curve = [marked_mass(state)]
-    for _ in range(t_iters):
+    for _ in range(cfg.t if t_max is None else t_max):
         state = sim.sparse_apply(state, circ.gates[round_lo:round_hi], circ.oracles)
         curve.append(marked_mass(state))
     return curve
@@ -790,9 +787,7 @@ def analysis_report(cfg: GmsConfig, t_max: int | None = None) -> dict:
         t_est = None
         report_warnings.append(str(exc))
     hybrid = hybrid_baseline(cfg)
-    counts = count_rank_n_minus_1(cfg.n) if cfg.n <= 5 else count_rank_n_minus_1(
-        cfg.n, mode="formula"
-    )
+    counts = count_rank_n_minus_1(cfg.n)
     report = {
         "schema": 1,
         "config": {

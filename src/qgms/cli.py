@@ -60,9 +60,19 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _write_all(out: Path, files: dict[str, str]) -> int:
+    """Write each named text into directory ``out``, creating it if needed.
+
+    A path that cannot be written is a usage error, reported on one line.
+    """
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+    except OSError as exc:
+        return _usage_error(f"cannot write {exc.filename}: {exc.strerror}")
+    print("wrote " + " and ".join(str(out / name) for name in files))
+    return 0
 
 
 def _dump_json(payload: dict) -> str:
@@ -80,7 +90,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         closed = synth.jordan_closed_form(args.n)
     stage_sum = synth.stage_totals(syn.stages)
     stage_sum["cnot_after_toffoli_expansion"] = synth.expanded_cnot(syn.stages)
-    out = Path(args.out)
     stem = f"{args.kind}_n{args.n}"
     payload = {
         "schema": 1,
@@ -91,10 +100,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "closed_form": closed,
         "stage_sum": stage_sum,
     }
-    _write(out / f"{stem}_circuit.txt", syn.circuit.to_text())
-    _write(out / f"{stem}_resources.json", _dump_json(payload))
-    print(f"wrote {out / (stem + '_circuit.txt')} and {out / (stem + '_resources.json')}")
-    return 0
+    files = {
+        f"{stem}_circuit.txt": syn.circuit.to_text(),
+        f"{stem}_resources.json": _dump_json(payload),
+    }
+    return _write_all(Path(args.out), files)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -122,7 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gms(args: argparse.Namespace) -> int:
-    from .analysis import GmsConfig, analysis_report, required_qubits
+    from .analysis import GmsConfig, _check_cap, analysis_report
     from .oracles import ZeroWhiteningKey, build_fx_oracle
 
     if args.m < 1 or args.l < 1:
@@ -133,23 +143,17 @@ def cmd_gms(args: argparse.Namespace) -> int:
         return _usage_error("--t-max must be at least 0")
     if args.seed < 0:
         return _usage_error("--seed must be a non-negative integer")
-    need = required_qubits(args.m, args.n, args.l)
-    cap = qubit_cap()
-    if need > cap:
-        print(
-            f"configuration needs {need} qubits (m + 2nl + n + 1); cap is {cap}",
-            file=sys.stderr,
-        )
-        return 3
     key = args.key if args.key is not None else 2 % (1 << args.m)
     k1 = args.k1 if args.k1 is not None else max(3 % (1 << args.n), 1)
     k2 = args.k2 if args.k2 is not None else 1 % (1 << args.n)
     try:
-        fx = build_fx_oracle(args.m, args.n, key, k1, k2, cipher_seed=args.seed)
-        cfg = GmsConfig(args.m, args.n, args.l, fx, t=args.t_max)
-    except (ValueError, ZeroWhiteningKey) as exc:
-        return _usage_error(str(exc))
-    try:
+        # before the oracle, which tabulates one permutation per key value
+        _check_cap(args.m, args.n, args.l)
+        try:
+            fx = build_fx_oracle(args.m, args.n, key, k1, k2, cipher_seed=args.seed)
+            cfg = GmsConfig(args.m, args.n, args.l, fx, t=args.t_max)
+        except (ValueError, ZeroWhiteningKey) as exc:
+            return _usage_error(str(exc))
         report = analysis_report(cfg, t_max=args.t_max)
     except QubitCapExceeded as exc:
         print(str(exc), file=sys.stderr)
@@ -167,13 +171,9 @@ def cmd_gms(args: argparse.Namespace) -> int:
         },
         {"cipher_seed": args.seed},
     )
-    out = Path(args.out)
-    _write(out / "gms_report.json", _dump_json(report))
-    curve_lines = ["t,probability"]
-    curve_lines += [f"{t},{p!r}" for t, p in report["t_curve"]]
-    _write(out / "gms_curve.csv", "\n".join(curve_lines) + "\n")
-    print(f"wrote {out / 'gms_report.json'} and {out / 'gms_curve.csv'}")
-    return 0
+    curve = "".join(f"{t},{p!r}\n" for t, p in report["t_curve"])
+    files = {"gms_report.json": _dump_json(report), "gms_curve.csv": "t,probability\n" + curve}
+    return _write_all(Path(args.out), files)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -95,17 +95,13 @@ def brute_count_rank_n_minus_1(n: int, s: int = 1) -> int:
     return int(np.count_nonzero(rank == bits))
 
 
-def count_rank_n_minus_1(n: int, mode: str = "both", s: int = 1) -> CountReport:
-    """Compare brute-force and closed-form counts.
+def count_rank_n_minus_1(n: int) -> CountReport:
+    """The closed-form count, checked by brute force when n <= BRUTE_LIMIT.
 
-    mode selects which sides run: "brute", "formula", or "both". The
-    agreement flag is only set when both are available.
+    Past the limit the enumeration is refused, so the brute count and the
+    agreement flag are None.
     """
-    if mode not in ("brute", "formula", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
     formula = rank_deficit_one_formula(n)
-    brute = None
-    if mode in ("brute", "both"):
-        brute = brute_count_rank_n_minus_1(n, s)
+    brute = brute_count_rank_n_minus_1(n) if n <= BRUTE_LIMIT else None
     agreement = None if brute is None else brute == formula
     return CountReport(n, brute, formula, agreement)

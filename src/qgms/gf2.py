@@ -290,9 +290,10 @@ def row_space(a: BitMatrix) -> set[int]:
 def gaussian_eliminate(a: BitMatrix, b: BitVector) -> BitVector:
     """Solve A x = b for square invertible A.
 
-    Forward elimination uses the same XOR pivot rule as the reversible
-    circuit (accumulate lower rows into the pivot row while the diagonal
-    is zero), then back substitution runs on the augmented column.
+    Forward elimination is ``row_echelon_xor_trace`` on the augmented
+    matrix [A | b], the reversible circuit's pivot rule; A is invertible
+    exactly when every diagonal entry comes out 1, since step j leaves
+    row j alone afterwards. Back substitution then runs on column n.
 
     Raises:
         SingularMatrix: if A is not invertible.
@@ -302,24 +303,17 @@ def gaussian_eliminate(a: BitMatrix, b: BitVector) -> BitVector:
     if b.length != a.rows:
         raise ValueError("dimension mismatch")
     n = a.rows
-    m = a.copy()
-    rhs = list(b.to_list())
-    for j in range(n):
-        for i in range(j + 1, n):
-            if not m.get(j, j):
-                m.row_bits[j] ^= m.row_bits[i]
-                rhs[j] ^= rhs[i]
-        if not m.get(j, j):
-            raise SingularMatrix("rank deficient")
-        for k in range(j + 1, n):
-            if m.get(k, j):
-                m.row_bits[k] ^= m.row_bits[j]
-                rhs[k] ^= rhs[j]
+    m = row_echelon_xor_trace(
+        BitMatrix(n, n + 1, [r | (b.get(i) << n) for i, r in enumerate(a.row_bits)])
+    )
+    if not all(m.get(j, j) for j in range(n)):
+        raise SingularMatrix("rank deficient")
+    x = [m.get(i, n) for i in range(n)]
     for j in range(n - 1, 0, -1):
         for i in range(j - 1, -1, -1):
             if m.get(i, j):
-                rhs[i] ^= rhs[j]
-    return BitVector.from_list(rhs)
+                x[i] ^= x[j]
+    return BitVector.from_list(x)
 
 
 def nullspace_basis(a: BitMatrix) -> list[BitVector]:

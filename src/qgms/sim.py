@@ -29,20 +29,21 @@ and TDG:
   the state under a qubit relabelling that puts every H/phase target in
   the top positions (the qubit remapping of Haener and Steiger, "0.5
   Petabyte Simulation of a 45-Qubit Quantum Circuit", SC17). The
-  relabelling is a set of disjoint swaps, three CNOTs each, so its
-  index map is its own inverse; the kernel runs those CNOTs ahead of
-  the first and last maps, or alone at an end that has none. Only
-  storage order changes, so every amplitude is bit-identical to an
-  unrelabelled run. A plan kept as a list applies to any number of
-  column blocks; the norm check of ``verify`` runs its 100 random states
-  through one plan, ten columns at a time. Memory is 2^q complex doubles
+  relabelling is a set of disjoint swaps, three CNOTs each, planned as
+  gates at both ends of the relabelled circuit, so they join its first
+  and last runs. Only storage order changes, so every amplitude is
+  bit-identical to an unrelabelled run. A plan kept as a list applies
+  to any number of column blocks; the norm check of ``verify`` runs its
+  100 random states through one plan, ten columns at a time. Memory is 2^q complex doubles
   per column, so a configurable qubit cap guards against accidental
   blowups.
 * ``run_sparse`` keeps a dict of nonzero amplitudes. A permutation run
   relabels its keys in one kernel call and keeps the dict's order.
   Circuits whose support stays polynomial (few Hadamards, mostly
   permutation gates) run far beyond the dense cap, at any width; the
-  same cap bounds the support at 2^cap entries.
+  same cap bounds the support at 2^cap entries. After each H it drops
+  the amplitudes of magnitude at most ``_PRUNE``, the residues that
+  cancellation leaves.
 
 ``run_basis`` tracks a single basis state as one integer, gate by gate.
 It is the scalar reference the kernel is tested against, and it makes
@@ -67,6 +68,8 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _T_PHASE = cmath.exp(1j * math.pi / 4)
 _PHASES = {"S": 1j, "T": _T_PHASE, "TDG": _T_PHASE.conjugate()}
 _PERMUTATION_KINDS = frozenset({"X", "CNOT", "TOFFOLI", "MCX", "ORACLE"})
+# The sparse engine drops amplitudes of at most this magnitude after each H.
+_PRUNE = 1e-13
 
 
 class UnresolvedOracle(Exception):
@@ -135,12 +138,7 @@ class StateVector:
         return float(np.real(np.trace(rho @ rho)))
 
 
-def run(
-    circ: Circuit,
-    initial: int = 0,
-    cap: int | None = None,
-    state: StateVector | None = None,
-) -> StateVector:
+def run(circ: Circuit, initial: int = 0, state: StateVector | None = None) -> StateVector:
     """Dense simulation of the full circuit.
 
     Starts from basis state ``initial`` unless ``state`` supplies a full
@@ -150,7 +148,7 @@ def run(
     Raises:
         QubitCapExceeded: if the circuit is wider than the cap allows.
     """
-    steps = dense_steps(circ, cap)
+    steps = dense_steps(circ)
     q = circ.qubit_count
     if state is not None:
         if state.qubit_count != q:
@@ -162,7 +160,7 @@ def run(
     return StateVector(q, apply_steps(steps, amps))
 
 
-def dense_steps(circ: Circuit, cap: int | None = None):
+def dense_steps(circ: Circuit):
     """The circuit as dense-engine steps, for ``apply_steps``.
 
     Each maximal run of permutation gates, with map f, becomes the gather
@@ -171,15 +169,14 @@ def dense_steps(circ: Circuit, cap: int | None = None):
     other gate is passed through. The steps act on the state stored under
     the qubit relabelling of ``_outer_swaps``, which puts every H/phase
     target on the top qubits, with index map P (its own inverse: the
-    swaps are disjoint). A run's g becomes P g P, the map of the reversed
-    run with its gates' qubits relabelled. P itself is three CNOTs per
-    swap, which the kernel runs ahead of the first and last runs: the
-    first run's map becomes g P (P, then the reversed run as written) and
-    the last run's P g (P, then the relabelled one), moving the state
-    into and out of the relabelled order. An end without a run gets P
-    alone as a step of its own. H and phase gates act on their
-    relabelled targets. With no swap this is the unrelabelled plan;
-    either way the output equals an unrelabelled run bit for bit.
+    swaps are disjoint). P is three CNOTs per swap, and the plan is the
+    gate list P, the circuit with every gate's qubits relabelled, P. A
+    run's g becomes P g P; the first run's map becomes g P and the last
+    run's P g, since each P joins the run next to it (or stands alone
+    where the circuit starts or ends with an H or phase gate), moving the
+    state into and out of the relabelled order. With no swap this is the
+    unrelabelled plan; either way the output equals an unrelabelled run
+    bit for bit.
 
     The cap is checked here, before anything is allocated. The steps are
     generated lazily, so ``run`` holds one gather map at a time; a
@@ -189,7 +186,7 @@ def dense_steps(circ: Circuit, cap: int | None = None):
     Raises:
         QubitCapExceeded: if the circuit is wider than the cap allows.
     """
-    limit = qubit_cap() if cap is None else cap
+    limit = qubit_cap()
     q = circ.qubit_count
     if q > limit:
         raise QubitCapExceeded(f"{q} qubits exceeds cap {limit}")
@@ -222,22 +219,14 @@ def _planned_steps(circ: Circuit, swaps: list[tuple[int, int]]):
     relabel = dict(swaps + [(b, a) for a, b in swaps])
     # P as gates: three CNOTs swap two qubits.
     swap = [Gate("CNOT", (t,), (c,)) for a, b in swaps for t, c in ((b, a), (a, b), (b, a))]
-    segs = list(_segments(circ.gates))
-    if swaps and not isinstance(segs[0], list):
-        segs.insert(0, [])
-    if swaps and not isinstance(segs[-1], list):
-        segs.append([])
     tables: dict[str, np.ndarray] = {}
-    for i, seg in enumerate(segs):
+    for seg in _segments(swap + [_relabelled(g, relabel) for g in circ.gates] + swap):
         if not isinstance(seg, list):
-            yield _relabelled(seg, relabel)
+            yield seg
             continue
-        back = seg[::-1]  # the inverse run: every permutation gate is an involution
-        gates = back if i == 0 else [_relabelled(g, relabel) for g in back]
-        if i in (0, len(segs) - 1):
-            gates = swap + gates
         every = np.arange(1 << circ.qubit_count, dtype=np.int64)
-        yield run_basis_batch(gates, circ.oracles, every, tables)
+        # the inverse run: every permutation gate is an involution
+        yield run_basis_batch(seg[::-1], circ.oracles, every, tables)
 
 
 def apply_steps(steps, amps: np.ndarray) -> np.ndarray:
@@ -309,26 +298,20 @@ def measure(
 # Sparse engine
 
 
-def run_sparse(
-    circ: Circuit,
-    initial: int = 0,
-    prune: float = 1e-13,
-) -> dict[int, complex]:
+def run_sparse(circ: Circuit, initial: int = 0) -> dict[int, complex]:
     """Sparse simulation as a dict of nonzero amplitudes.
 
-    Amplitudes below ``prune`` in magnitude are dropped after each
-    Hadamard, where cancellation happens. Permutation and phase gates only
-    relabel or rotate existing entries, so support never grows through
-    them and never exceeds twice its pre-Hadamard size overall.
+    Amplitudes of magnitude at most ``_PRUNE`` (1e-13) are dropped after
+    each Hadamard, where cancellation leaves residues of about 1e-17.
+    Permutation and phase gates only relabel or rotate existing entries,
+    so support never grows through them and never exceeds twice its
+    pre-Hadamard size overall.
     """
-    return sparse_apply({initial: 1.0 + 0.0j}, circ.gates, circ.oracles, prune)
+    return sparse_apply({initial: 1.0 + 0.0j}, circ.gates, circ.oracles)
 
 
 def sparse_apply(
-    state: dict[int, complex],
-    gates: list[Gate],
-    oracles: dict[str, object],
-    prune: float = 1e-13,
+    state: dict[int, complex], gates: list[Gate], oracles: dict[str, object]
 ) -> dict[int, complex]:
     """Apply a gate list to a sparse state; returns a new dict.
 
@@ -362,7 +345,7 @@ def sparse_apply(
                 k1 = k0 | t_bit
                 nxt[k0] = nxt.get(k0, 0.0) + h
                 nxt[k1] = nxt.get(k1, 0.0) + (h if k == k0 else -h)
-            state = {k: a for k, a in nxt.items() if abs(a) > prune}
+            state = {k: a for k, a in nxt.items() if abs(a) > _PRUNE}
         elif seg.kind in _PHASES:
             t_bit = 1 << seg.targets[0]
             phase = _PHASES[seg.kind]

@@ -41,6 +41,7 @@ from .analysis import (
     prepare_initial_state,
     query_ratio,
     run_gms,
+    run_gms_per_gate,
     success_mask,
 )
 from .counting import count_rank_n_minus_1
@@ -51,7 +52,6 @@ from .gf2 import (
     is_row_echelon,
     is_rref,
     nullspace_basis,
-    parity,
     rank,
     row_echelon,
     row_space,
@@ -98,9 +98,9 @@ class SuiteResult:
         }
 
 
-def reference_config(t: int = 20) -> GmsConfig:
+def reference_config() -> GmsConfig:
     """The desk-scale configuration every quantitative claim is pinned to."""
-    return GmsConfig(2, 2, 2, build_fx_oracle(**REFERENCE), t=t)
+    return GmsConfig(2, 2, 2, build_fx_oracle(**REFERENCE))
 
 
 @lru_cache(maxsize=1)
@@ -127,14 +127,6 @@ def _invertible_matrices(n: int):
             yield a
 
 
-def _matvec(a: BitMatrix, x: BitVector) -> int:
-    out = 0
-    for i in range(a.rows):
-        if parity(a.row_bits[i] & x.bits):
-            out |= 1 << i
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Suite: gf2
 
@@ -142,7 +134,6 @@ def _matvec(a: BitMatrix, x: BitVector) -> int:
 def suite_gf2() -> SuiteResult:
     """Exhaustive classical checks of the GF(2) layer on 3x3 inputs."""
     res = SuiteResult("gf2")
-    t0 = time.monotonic()
 
     bad = 0
     total = 0
@@ -150,7 +141,7 @@ def suite_gf2() -> SuiteResult:
         for b in range(8):
             total += 1
             x = gaussian_eliminate(a, BitVector(3, b))
-            if _matvec(a, x) != b:
+            if a.mul_vec(x).bits != b:
                 bad += 1
     res.add("solve_all_invertible_3x3", bad == 0, f"{total} systems, {bad} mismatches")
 
@@ -178,7 +169,7 @@ def suite_gf2() -> SuiteResult:
             continue
         span = {0}
         for v in basis:
-            if _matvec(a, v) != 0:
+            if not a.mul_vec(v).is_zero():
                 bad += 1
                 break
             span |= {w ^ v.bits for w in span}
@@ -187,7 +178,6 @@ def suite_gf2() -> SuiteResult:
                 bad += 1
     res.add("nullspace_all_3x3", bad == 0, f"512 matrices, {bad} failures")
 
-    res.elapsed_s = time.monotonic() - t0
     return res
 
 
@@ -274,7 +264,6 @@ def _norm_circuits() -> list[tuple[str, object]]:
 def suite_circuits() -> SuiteResult:
     """Circuit-vs-classical equivalence, resource tallies, unitarity."""
     res = SuiteResult("circuits")
-    t0 = time.monotonic()
 
     res.checks.append(_solver_equivalence(jordan=False))
     res.checks.append(_solver_equivalence(jordan=True))
@@ -327,7 +316,6 @@ def suite_circuits() -> SuiteResult:
         f"{len(circuits)} circuit families, max deviation {worst:.2e}",
     )
 
-    res.elapsed_s = time.monotonic() - t0
     return res
 
 
@@ -338,10 +326,9 @@ def suite_circuits() -> SuiteResult:
 def suite_counting() -> SuiteResult:
     """Brute-force vs closed-form count of rank n-1 matrices over s-perp."""
     res = SuiteResult("counting")
-    t0 = time.monotonic()
     pinned = {2: 3, 3: 42, 4: 2520}
     for n in (2, 3, 4, 5):
-        rep = count_rank_n_minus_1(n, mode="both")
+        rep = count_rank_n_minus_1(n)
         ok = rep.agreement and rep.brute_count == rep.formula_count
         if n in pinned:
             ok = ok and rep.formula_count == pinned[n]
@@ -350,7 +337,6 @@ def suite_counting() -> SuiteResult:
             ok,
             f"brute {rep.brute_count}, formula {rep.formula_count}",
         )
-    res.elapsed_s = time.monotonic() - t0
     return res
 
 
@@ -365,7 +351,6 @@ def suite_deferred(n: int | None = None, l: int | None = None) -> SuiteResult:
     a single shape (every nonzero period either way).
     """
     res = SuiteResult("deferred")
-    t0 = time.monotonic()
     shapes = DEFERRED_GRID if n is None else ((n, l if l is not None else 2),)
     for nn, ll in shapes:
         worst = 0.0
@@ -383,7 +368,6 @@ def suite_deferred(n: int | None = None, l: int | None = None) -> SuiteResult:
             ok,
             f"all {(1 << nn) - 1} periods, max diff {worst:.2e}",
         )
-    res.elapsed_s = time.monotonic() - t0
     return res
 
 
@@ -394,7 +378,6 @@ def suite_deferred(n: int | None = None, l: int | None = None) -> SuiteResult:
 def suite_gms() -> SuiteResult:
     """Distribution-level checks of the combined search analysis."""
     res = SuiteResult("gms")
-    t0 = time.monotonic()
 
     ok = True
     for n in (2, 3):
@@ -440,7 +423,7 @@ def suite_gms() -> SuiteResult:
         f"immediate baseline {hyb.success:.3f}",
     )
 
-    per_gate = run_gms(cfg, t_max=3, engine="sparse")
+    per_gate = run_gms_per_gate(cfg, t_max=3)
     drift = max(abs(a - b) for a, b in zip(curve, per_gate))
     res.add(
         "operator_matches_per_gate",
@@ -457,7 +440,6 @@ def suite_gms() -> SuiteResult:
             ok = False
     res.add("query_ratio_bound", ok, "; ".join(details))
 
-    res.elapsed_s = time.monotonic() - t0
     return res
 
 
@@ -471,5 +453,8 @@ SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> SuiteResult:
-    """Run one named suite; raises KeyError for an unknown name."""
-    return SUITES[name](**kwargs)
+    """Run one named suite and time it; raises KeyError for an unknown name."""
+    t0 = time.monotonic()
+    res = SUITES[name](**kwargs)
+    res.elapsed_s = time.monotonic() - t0
+    return res

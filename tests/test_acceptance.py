@@ -86,7 +86,7 @@ def test_turning_point_matrix_count_brute_equals_formula():
     t0 = time.monotonic()
     pinned = {2: 3, 3: 42, 4: 2520}
     for n in (2, 3, 4, 5):
-        rep = count_rank_n_minus_1(n, mode="both")
+        rep = count_rank_n_minus_1(n)
         assert rep.agreement
         assert rep.brute_count == rep.formula_count
         if n in pinned:

@@ -2,10 +2,8 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from qgms import sim
 from qgms.amplify import (
     amplitude_amplify,
     grover_probability,
@@ -48,26 +46,6 @@ def test_multiple_marked_states():
     curve = success_curve(uniform_prep(q), marked, 6)
     for t, p in enumerate(curve):
         assert p == pytest.approx(grover_probability(16, 4, t), abs=1e-10)
-
-
-def test_marked_forms_agree():
-    q = 3
-    target = {2, 7}
-    mask = np.zeros(8, dtype=bool)
-    mask[[2, 7]] = True
-    by_set = success_curve(uniform_prep(q), target, 4)
-    by_mask = success_curve(uniform_prep(q), mask, 4)
-    by_call = success_curve(uniform_prep(q), lambda i: i in target, 4)
-    assert by_set == pytest.approx(by_mask, abs=1e-14)
-    assert by_set == pytest.approx(by_call, abs=1e-14)
-
-
-def test_amplify_from_supplied_initial_state():
-    prep = uniform_prep(3)
-    anchor = sim.run(prep)
-    out = amplitude_amplify(prep, [5], 2, initial=anchor)
-    ref = amplitude_amplify(prep, [5], 2)
-    assert np.allclose(out.amps, ref.amps, atol=1e-12)
 
 
 def test_iterations_preserve_norm():

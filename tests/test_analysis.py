@@ -25,6 +25,7 @@ from qgms.analysis import (
     query_ratio,
     rank_only_mask,
     run_gms,
+    run_gms_per_gate,
     success_mask,
     two_to_one_model,
     ug_classifier,
@@ -225,11 +226,9 @@ def test_curve_respects_ceiling_and_stays_low():
 def test_engines_agree():
     fx = build_fx_oracle(m=2, n=2, key=1, k1=3, k2=1, cipher_seed=72)
     cfg = GmsConfig(2, 2, 1, fx)
-    operator = run_gms(cfg, t_max=3, engine="operator")
-    sparse = run_gms(cfg, t_max=3, engine="sparse")
-    assert operator == pytest.approx(sparse, abs=1e-12)
-    with pytest.raises(ValueError):
-        run_gms(cfg, engine="fast")
+    operator = run_gms(cfg, t_max=3)
+    per_gate = run_gms_per_gate(cfg, t_max=3)
+    assert operator == pytest.approx(per_gate, abs=1e-12)
 
 
 def test_round_proof_rejects_a_wrong_accept_bit(monkeypatch):
@@ -269,6 +268,11 @@ def test_round_proof_rejects_a_missing_gate(monkeypatch, piece, offset, message)
     monkeypatch.setattr(analysis, "build_gms_circuit", circuit_missing_a_gate)
     with pytest.raises(RuntimeError, match=message):
         run_gms(fixture_cfg(), t_max=1)
+    if piece == "uncompute":
+        # the per-gate reference sees the dirty scratch once the state has
+        # marked mass, which the fixture's prepared state lacks (t = 1)
+        with pytest.raises(RuntimeError, match=message):
+            run_gms_per_gate(fixture_cfg(), t_max=2)
 
 
 def test_search_circuit_keeps_scratch_clean():

@@ -89,6 +89,22 @@ def test_gms_cap_exceeded(tmp_path):
     assert "cap" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, out",
+    [
+        (["synth", "qge", "--n", "3"], "f"),
+        (["gms", "--m", "2", "--n", "2", "--l", "2", "--t-max", "1"], "f/x"),
+    ],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, args, out):
+    (tmp_path / "f").touch()
+    proc = run_cli([*args, "--out", out], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("qgms: error: ")
+    assert proc.stderr.count("\n") == 1
+    assert out in proc.stderr
+
+
 def test_gms_rejects_negative_t_max(tmp_path):
     proc = run_cli(["gms", "--m", "1", "--n", "2", "--l", "1", "--t-max", "-1"], tmp_path)
     assert proc.returncode == 2

@@ -56,9 +56,10 @@ def test_count_is_hyperplane_independent():
 def test_enumeration_refused_past_limit():
     with pytest.raises(EnumerationTooLarge):
         brute_count_rank_n_minus_1(6)
-    report = count_rank_n_minus_1(6, mode="formula")
+    report = count_rank_n_minus_1(6)
     assert report.brute_count is None
     assert report.agreement is None
+    assert report.formula_count == rank_deficit_one_formula(6)
 
 
 def test_relaxation_bound_holds():
@@ -67,8 +68,6 @@ def test_relaxation_bound_holds():
 
 
 def test_mode_validation():
-    with pytest.raises(ValueError):
-        count_rank_n_minus_1(3, mode="exact")
     with pytest.raises(ValueError):
         rank_deficit_one_formula(1)
     with pytest.raises(ValueError):
