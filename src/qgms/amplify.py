@@ -15,7 +15,7 @@ from itertools import islice
 import numpy as np
 
 from .circuit import Circuit
-from .sim import StateVector, run
+from .sim import run
 
 
 def grover_probability(n_states: int, marked: int, t: int) -> float:
@@ -39,16 +39,6 @@ def _iterates(prep: Circuit, marked):
         yield mask, amps
         amps[mask] *= -1.0
         amps = 2.0 * np.vdot(ref, amps) * ref - amps
-
-
-def amplitude_amplify(prep: Circuit, marked, iterations: int) -> StateVector:
-    """Apply the amplification iterate ``iterations`` times to prep|0>.
-
-    ``marked`` is a collection of basis indices. The reflection axis is
-    the prepared state prep|0>, which is also the starting state.
-    """
-    _, amps = next(islice(_iterates(prep, marked), iterations, None))
-    return StateVector(prep.qubit_count, amps)
 
 
 def success_curve(prep: Circuit, marked, t_max: int) -> list[float]:

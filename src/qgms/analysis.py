@@ -82,10 +82,6 @@ class GmsConfig:
     def plaintexts(self) -> list[int]:
         return list(range(self.c_check))
 
-    def required_qubits(self) -> int:
-        """Registers that hold state across an iteration: data + solution + flag."""
-        return required_qubits(self.m, self.n, self.l)
-
     def layout(self) -> tuple[list[int], list[list[int]], list[list[int]]]:
         key = list(range(self.m))
         ys, fs = [], []
@@ -642,9 +638,11 @@ def deferred_vs_immediate(n: int, l: int, s: int, seed: int = 0) -> DeferredComp
     end. The two joint distributions are identical; the correct-period
     probability is r / 2^((n-1)l) with r counted by enumeration.
     """
+    # the kernel table first: it checks the qubit cap before the oracle
+    # and the 4^n-step marginal are built
+    kernel = _kernel_vector(n, l)
     oracle = build_simon_oracle(n, s, rng=seed)
     per_copy = y_marginal(oracle.table, n)
-    kernel = _kernel_vector(n, l)
     dist_immediate: dict[tuple[int, int], float] = {}
     for ybits, p in _row_distribution(per_copy, n, l):
         key = (ybits, int(kernel[ybits]))

@@ -1,9 +1,10 @@
 """Reversible circuit IR: gates, registers, resource accounting.
 
-The gate set is deliberately small: X, H, S, T, T-dagger, CNOT, Toffoli,
-multi-controlled X, and opaque oracle blocks that XOR a classical function
-of one register into another. Everything downstream (simulation, cost
-models, text export) works off this one representation.
+The gate set is deliberately small: X, H, CNOT, Toffoli, multi-controlled
+X, and opaque oracle blocks that XOR a classical function of one register
+into another. Each of the six kinds is its own inverse, so a block is
+undone by its gates in reverse order. Everything downstream (simulation,
+cost models, text export) works off this one representation.
 
 Costs are reported against a Clifford+T compilation convention: a Toffoli
 expands to 7 T gates, 6 CNOTs, 2 Hadamards and an S with T-depth 7, and a
@@ -19,16 +20,16 @@ numpy.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class RegisterMismatch(Exception):
     """Raised when a gate references qubits outside or overlapping wrongly."""
 
 
-# Gate kinds with fixed shapes. ORACLE is the only named kind.
-_SELF_INVERSE = {"X", "H", "CNOT", "TOFFOLI", "MCX", "ORACLE"}
-_KINDS = _SELF_INVERSE | {"S", "T", "TDG"}
+# Gate kinds with fixed shapes, each its own inverse; ORACLE is the only
+# named kind.
+_KINDS = {"X", "H", "CNOT", "TOFFOLI", "MCX", "ORACLE"}
 
 TOFFOLI_T_COUNT = 7
 TOFFOLI_T_DEPTH = 7
@@ -73,7 +74,7 @@ class Gate:
         if any(q < 0 for q in qubits):
             raise RegisterMismatch(f"negative qubit in {self}")
         n_t, n_c = len(self.targets), len(self.controls)
-        if self.kind in {"X", "H", "S", "T", "TDG"} and (n_t, n_c) != (1, 0):
+        if self.kind in {"X", "H"} and (n_t, n_c) != (1, 0):
             raise RegisterMismatch(f"{self.kind} takes one target, no controls")
         if self.kind == "CNOT" and (n_t, n_c) != (1, 1):
             raise RegisterMismatch("CNOT takes one target, one control")
@@ -87,15 +88,6 @@ class Gate:
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.targets + self.controls
-
-    def inverse(self) -> Gate:
-        if self.kind in _SELF_INVERSE:
-            return self
-        if self.kind == "T":
-            return replace(self, kind="TDG")
-        if self.kind == "TDG":
-            return replace(self, kind="T")
-        raise ValueError(f"{self.kind} has no inverse in the gate set")
 
 
 @dataclass
@@ -165,15 +157,6 @@ class Circuit:
     def h(self, q: int) -> None:
         self.append(Gate("H", (q,)))
 
-    def s(self, q: int) -> None:
-        self.append(Gate("S", (q,)))
-
-    def t(self, q: int) -> None:
-        self.append(Gate("T", (q,)))
-
-    def tdg(self, q: int) -> None:
-        self.append(Gate("TDG", (q,)))
-
     def cnot(self, control: int, target: int) -> None:
         self.append(Gate("CNOT", (target,), (control,)))
 
@@ -198,16 +181,6 @@ class Circuit:
             raise RegisterMismatch(f"oracle name {name!r} already bound")
         self.oracles[name] = fn
         self.append(Gate("ORACLE", tuple(outs), tuple(ins), name=name))
-
-    def inverse_gates(self) -> list[Gate]:
-        """Gates of the inverse circuit (reversed order, each inverted)."""
-        return [g.inverse() for g in reversed(self.gates)]
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for g in self.gates:
-            out[g.kind] = out.get(g.kind, 0) + 1
-        return out
 
     def to_text(self) -> str:
         """Line-oriented export: header, registers, then one gate per line."""

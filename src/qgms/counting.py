@@ -53,11 +53,6 @@ def rank_deficit_one_formula(n: int) -> int:
     return out
 
 
-def relaxation_bound(n: int) -> int:
-    """Loose upper bound 2^(n(n-1)) on the same count."""
-    return 2 ** (n * (n - 1))
-
-
 def _hyperplane(n: int, s: int) -> list[int]:
     return [x for x in range(1 << n) if parity(x & s) == 0]
 

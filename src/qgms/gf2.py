@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .circuit import QubitCapExceeded, qubit_cap
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -43,9 +45,6 @@ class BitVector:
                 bits |= 1 << i
         return cls(len(entries), bits)
 
-    def to_list(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(self.length)]
-
     def get(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexError(i)
@@ -58,12 +57,6 @@ class BitVector:
         if self.length != other.length:
             raise ValueError("length mismatch")
         return BitVector(self.length, self.bits ^ other.bits)
-
-    def dot(self, other: BitVector) -> int:
-        """Inner product over GF(2)."""
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return parity(self.bits & other.bits)
 
 
 @dataclass
@@ -137,11 +130,6 @@ class BitMatrix:
             if parity(r & x.bits):
                 bits |= 1 << i
         return BitVector(self.rows, bits)
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            self.row_bits[i] == 1 << i for i in range(self.rows)
-        )
 
 
 @dataclass
@@ -341,7 +329,16 @@ def orthogonal_table(n: int, l: int) -> np.ndarray:
     Row j of Y is bits n*j .. n*j+n-1 of the index Y. The entry is True
     when y_j . s = 0 for every row, so row Y lists the kernel of Y: it
     has rank n-1 exactly when one nonzero s is True.
+
+    Raises:
+        QubitCapExceeded: if the 2^(nl + n) entries pass 2^cap, before
+            anything is allocated.
     """
+    cap = qubit_cap()
+    if n * l + n > cap:
+        raise QubitCapExceeded(
+            f"orthogonality table of 2^{n * l + n} entries would pass 2^{cap}"
+        )
     import numpy as np  # only here, so the rest of gf2 loads without numpy
 
     size = 1 << n
@@ -352,59 +349,3 @@ def orthogonal_table(n: int, l: int) -> np.ndarray:
         orth &= dot_zero[(ys >> (n * j)) & (size - 1)]
     return orth
 
-
-def general_solution(
-    a: BitMatrix, b: BitVector
-) -> tuple[BitVector, list[BitVector]] | None:
-    """Particular solution plus nullspace basis, or None if inconsistent.
-
-    The system is inconsistent exactly when the augmented matrix has
-    higher rank than A; None is the no-solution signal, not an error.
-    """
-    if b.length != a.rows:
-        raise ValueError("dimension mismatch")
-    aug = BitMatrix(
-        a.rows,
-        a.cols + 1,
-        [a.row_bits[i] | (b.get(i) << a.cols) for i in range(a.rows)],
-    )
-    r_aug = rref(aug)
-    if a.cols in r_aug.pivot_cols:
-        return None
-    x_bits = 0
-    for i, p in enumerate(r_aug.pivot_cols):
-        if r_aug.matrix.get(i, a.cols):
-            x_bits |= 1 << p
-    return BitVector(a.cols, x_bits), nullspace_basis(a)
-
-
-# ---------------------------------------------------------------------------
-# Text format
-
-
-def dump_matrix(a: BitMatrix) -> str:
-    """Serialize as a dimension header line followed by 0/1 row strings."""
-    lines = [f"{a.rows} {a.cols}"]
-    for bits in a.row_bits:
-        lines.append("".join(str((bits >> j) & 1) for j in range(a.cols)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> BitMatrix:
-    """Inverse of dump_matrix. Raises ValueError on malformed input."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be 'rows cols'")
-    rows, cols = int(head[0]), int(head[1])
-    if len(lines) - 1 != rows:
-        raise ValueError("row count does not match header")
-    packed = []
-    for ln in lines[1:]:
-        ln = ln.strip()
-        if len(ln) != cols or set(ln) - {"0", "1"}:
-            raise ValueError(f"bad row {ln!r}")
-        packed.append(int(ln[::-1], 2) if ln else 0)
-    return BitMatrix(rows, cols, packed)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .circuit import Circuit
 from .gf2 import parity
-from . import sim
 
 
 class ZeroPeriod(Exception):
@@ -207,11 +206,6 @@ def simon_round_circuit(oracle: SimonOracle) -> Circuit:
     return circ
 
 
-def simon_round(oracle: SimonOracle) -> sim.StateVector:
-    """State after one round; the y-marginal is uniform on s-perp."""
-    return sim.run(simon_round_circuit(oracle))
-
-
 def parallel_simon_circuit(oracle: SimonOracle, l: int) -> Circuit:
     """l independent rounds side by side (2nl qubits).
 
@@ -224,8 +218,3 @@ def parallel_simon_circuit(oracle: SimonOracle, l: int) -> Circuit:
     fs = [list(range(2 * n * j + n, 2 * n * (j + 1))) for j in range(l)]
     period_finding_rounds(circ, oracle, [], ys, fs)
     return circ
-
-
-def parallel_simon(oracle: SimonOracle, l: int) -> sim.StateVector:
-    """Tensor power of simon_round across l register pairs."""
-    return sim.run(parallel_simon_circuit(oracle, l))

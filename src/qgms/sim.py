@@ -11,32 +11,31 @@ through a run of such gates on bit planes: each touched qubit becomes
 one packed plane of bits, and each gate is one vector step on planes.
 The planes are the same whatever holds the indices, int64 or Python
 ints of any width in an object array, so one gate loop serves both.
-Two engines sit on top of it and keep their own code only for H, S, T
-and TDG:
+Two engines sit on top of it and keep their own code only for H, the
+one gate of the set that does not permute basis states:
 
 * ``run`` evolves a dense numpy amplitude vector (or a 2-D batch of
   them, one state per column). It plans the circuit with
   ``dense_steps``: each maximal run of permutation gates becomes one
   gather map, the kernel's images of all 2^q indices under the run's
-  inverse (the run reversed, as every permutation gate is its own
-  inverse), and any other gate stays a step of its own. ``apply_steps``
-  then gathers the amplitudes once per map, which numpy does faster than
-  the matching scatter, and applies H and the phase gates in place on a
-  reshaped view that puts the target qubit on its own axis, so it may
-  overwrite its input; ``run`` passes it a copy. For target t and c
-  columns that view's inner loop runs over 2^t * c contiguous elements,
-  so a low target is bound by loop overhead. The plan therefore stores
-  the state under a qubit relabelling that puts every H/phase target in
-  the top positions (the qubit remapping of Haener and Steiger, "0.5
-  Petabyte Simulation of a 45-Qubit Quantum Circuit", SC17). The
-  relabelling is a set of disjoint swaps, three CNOTs each, planned as
-  gates at both ends of the relabelled circuit, so they join its first
-  and last runs. Only storage order changes, so every amplitude is
-  bit-identical to an unrelabelled run. A plan kept as a list applies
-  to any number of column blocks; the norm check of ``verify`` runs its
-  100 random states through one plan, ten columns at a time. Memory is 2^q complex doubles
-  per column, so a configurable qubit cap guards against accidental
-  blowups.
+  inverse (the run reversed, as every gate is its own inverse), and
+  each H stays a step of its own. ``apply_steps`` then gathers the
+  amplitudes once per map, which numpy does faster than the matching
+  scatter, and applies H in place on a reshaped view that puts the
+  target qubit on its own axis, so it may overwrite its input; ``run``
+  passes it a copy. For target t and c columns that view's inner loop
+  runs over 2^t * c contiguous elements, so a low target is bound by
+  loop overhead. The plan therefore stores the state under a qubit
+  relabelling that puts every H target in the top positions (the qubit
+  remapping of Haener and Steiger, "0.5 Petabyte Simulation of a
+  45-Qubit Quantum Circuit", SC17). The relabelling is a set of disjoint
+  swaps, three CNOTs each, planned as gates at both ends of the
+  relabelled circuit, so they join its first and last runs. Only storage
+  order changes, so every amplitude is bit-identical to an unrelabelled
+  run. A plan kept as a list applies to any number of column blocks; the
+  norm check of ``verify`` runs its 100 random states through one plan,
+  ten columns at a time. Memory is 2^q complex doubles per column, so a
+  configurable qubit cap guards against accidental blowups.
 * ``run_sparse`` keeps a dict of nonzero amplitudes. A permutation run
   relabels its keys in one kernel call and keeps the dict's order.
   Circuits whose support stays polynomial (few Hadamards, mostly
@@ -54,7 +53,6 @@ configuration, what one amplification round does to every basis input.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -65,9 +63,6 @@ import numpy as np
 from .circuit import Circuit, Gate, QubitCapExceeded, qubit_cap
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_T_PHASE = cmath.exp(1j * math.pi / 4)
-_PHASES = {"S": 1j, "T": _T_PHASE, "TDG": _T_PHASE.conjugate()}
-_PERMUTATION_KINDS = frozenset({"X", "CNOT", "TOFFOLI", "MCX", "ORACLE"})
 # The sparse engine drops amplitudes of at most this magnitude after each H.
 _PRUNE = 1e-13
 
@@ -98,12 +93,6 @@ class StateVector:
 
     qubit_count: int
     amps: np.ndarray
-
-    @classmethod
-    def basis(cls, qubit_count: int, bits: int = 0) -> StateVector:
-        amps = np.zeros(1 << qubit_count, dtype=np.complex128)
-        amps[bits] = 1.0
-        return cls(qubit_count, amps)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
@@ -165,15 +154,15 @@ def dense_steps(circ: Circuit):
 
     Each maximal run of permutation gates, with map f, becomes the gather
     map g = f^-1 that ``run_basis_batch`` gives for the reversed run over
-    every basis state: the amplitude that lands on j comes from g[j]. Any
-    other gate is passed through. The steps act on the state stored under
-    the qubit relabelling of ``_outer_swaps``, which puts every H/phase
-    target on the top qubits, with index map P (its own inverse: the
+    every basis state: the amplitude that lands on j comes from g[j]. Each
+    H is passed through. The steps act on the state stored under the
+    qubit relabelling of ``_outer_swaps``, which puts every H target on
+    the top qubits, with index map P (its own inverse: the
     swaps are disjoint). P is three CNOTs per swap, and the plan is the
     gate list P, the circuit with every gate's qubits relabelled, P. A
     run's g becomes P g P; the first run's map becomes g P and the last
     run's P g, since each P joins the run next to it (or stands alone
-    where the circuit starts or ends with an H or phase gate), moving the
+    where the circuit starts or ends with an H), moving the
     state into and out of the relabelled order. With no swap this is the
     unrelabelled plan; either way the output equals an unrelabelled run
     bit for bit.
@@ -194,13 +183,13 @@ def dense_steps(circ: Circuit):
 
 
 def _outer_swaps(gates: list[Gate], q: int) -> list[tuple[int, int]]:
-    """Pair each H/phase target below the top positions with a free top qubit.
+    """Pair each H target below the top positions with a free top qubit.
 
     With k distinct targets the top positions are q-k..q-1; as many
     targets lie below them as non-targets lie in them, so the pairs are
     disjoint swaps that leave every target on top.
     """
-    targets = {g.targets[0] for g in gates if g.kind not in _PERMUTATION_KINDS}
+    targets = {g.targets[0] for g in gates if g.kind == "H"}
     top = q - len(targets)
     low = sorted(t for t in targets if t < top)
     free = [p for p in range(top, q) if p not in targets]
@@ -225,15 +214,15 @@ def _planned_steps(circ: Circuit, swaps: list[tuple[int, int]]):
             yield seg
             continue
         every = np.arange(1 << circ.qubit_count, dtype=np.int64)
-        # the inverse run: every permutation gate is an involution
+        # the inverse run: every gate is an involution
         yield run_basis_batch(seg[::-1], circ.oracles, every, tables)
 
 
 def apply_steps(steps, amps: np.ndarray) -> np.ndarray:
     """Apply ``dense_steps`` output to a state or a batch of columns.
 
-    Returns the evolved amplitudes. ``amps`` may be overwritten: H and the
-    phase gates work in place, so pass a copy to keep the input.
+    Returns the evolved amplitudes. ``amps`` may be overwritten: H works
+    in place, so pass a copy to keep the input.
     """
     for step in steps:
         if isinstance(step, np.ndarray):
@@ -244,10 +233,10 @@ def apply_steps(steps, amps: np.ndarray) -> np.ndarray:
 
 
 def _segments(gates: list[Gate]):
-    """Yield each maximal run of permutation gates as a list, any other gate alone."""
+    """Yield each maximal run of permutation gates as a list, each H alone."""
     run: list[Gate] = []
     for gate in gates:
-        if gate.kind in _PERMUTATION_KINDS:
+        if gate.kind != "H":
             run.append(gate)
             continue
         if run:
@@ -259,39 +248,16 @@ def _segments(gates: list[Gate]):
 
 
 def _dense_apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one H, S, T or TDG; axis 1 of the view is the target qubit."""
-    kind = gate.kind
+    """Apply one H; axis 1 of the view is the target qubit."""
     view = amps.reshape(-1, 2, 1 << gate.targets[0], *amps.shape[1:])
-    if kind == "H":
-        a0, a1 = view[:, 0], view[:, 1]
-        # (a0 + a1) * _SQRT_HALF and (a0 - a1) * _SQRT_HALF, bit for bit,
-        # with one half-size temporary instead of four.
-        total = a0 + a1
-        np.subtract(a0, a1, out=a1)
-        np.multiply(total, _SQRT_HALF, out=a0)
-        a1 *= _SQRT_HALF
-    elif kind in _PHASES:
-        view[:, 1] *= _PHASES[kind]
-    else:
-        raise ValueError(f"unhandled gate kind {kind}")
+    a0, a1 = view[:, 0], view[:, 1]
+    # (a0 + a1) * _SQRT_HALF and (a0 - a1) * _SQRT_HALF, bit for bit,
+    # with one half-size temporary instead of four.
+    total = a0 + a1
+    np.subtract(a0, a1, out=a1)
+    np.multiply(total, _SQRT_HALF, out=a0)
+    a1 *= _SQRT_HALF
     return view.reshape(amps.shape)
-
-
-def measure(
-    state: StateVector, qubits: list[int], rng
-) -> tuple[int, StateVector]:
-    """Sample a measurement of ``qubits`` and collapse.
-
-    Returns the packed outcome and the renormalized post-measurement
-    state. ``rng`` is a numpy Generator (or anything default_rng accepts).
-    """
-    gen = np.random.default_rng(rng)
-    probs = state.marginal(qubits)
-    outcome = int(gen.choice(len(probs), p=probs / probs.sum()))
-    key = extract_bits(np.arange(1 << state.qubit_count), qubits)
-    amps = np.where(key == outcome, state.amps, 0.0)
-    norm = np.sqrt(np.sum(np.abs(amps) ** 2))
-    return outcome, StateVector(state.qubit_count, amps / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +269,9 @@ def run_sparse(circ: Circuit, initial: int = 0) -> dict[int, complex]:
 
     Amplitudes of magnitude at most ``_PRUNE`` (1e-13) are dropped after
     each Hadamard, where cancellation leaves residues of about 1e-17.
-    Permutation and phase gates only relabel or rotate existing entries,
-    so support never grows through them and never exceeds twice its
-    pre-Hadamard size overall.
+    Permutation gates only relabel existing entries, so support never
+    grows through them and never exceeds twice its pre-Hadamard size
+    overall.
     """
     return sparse_apply({initial: 1.0 + 0.0j}, circ.gates, circ.oracles)
 
@@ -332,45 +298,21 @@ def sparse_apply(
             keys = np.array(list(state), dtype=object)
             moved = run_basis_batch(seg, oracles, keys, tables)
             state = dict(zip(moved.tolist(), state.values()))
-        elif seg.kind == "H":
-            if 2 * len(state) > 1 << cap:
-                raise QubitCapExceeded(
-                    f"sparse support of {2 * len(state)} entries would pass 2^{cap}"
-                )
-            t_bit = 1 << seg.targets[0]
-            nxt: dict[int, complex] = {}
-            for k, a in state.items():
-                h = a * _SQRT_HALF
-                k0 = k & ~t_bit
-                k1 = k0 | t_bit
-                nxt[k0] = nxt.get(k0, 0.0) + h
-                nxt[k1] = nxt.get(k1, 0.0) + (h if k == k0 else -h)
-            state = {k: a for k, a in nxt.items() if abs(a) > _PRUNE}
-        elif seg.kind in _PHASES:
-            t_bit = 1 << seg.targets[0]
-            phase = _PHASES[seg.kind]
-            state = {
-                k: (a * phase if k & t_bit else a) for k, a in state.items()
-            }
-        else:
-            raise ValueError(f"unhandled gate kind {seg.kind}")
+            continue
+        if 2 * len(state) > 1 << cap:
+            raise QubitCapExceeded(
+                f"sparse support of {2 * len(state)} entries would pass 2^{cap}"
+            )
+        t_bit = 1 << seg.targets[0]
+        nxt: dict[int, complex] = {}
+        for k, a in state.items():
+            h = a * _SQRT_HALF
+            k0 = k & ~t_bit
+            k1 = k0 | t_bit
+            nxt[k0] = nxt.get(k0, 0.0) + h
+            nxt[k1] = nxt.get(k1, 0.0) + (h if k == k0 else -h)
+        state = {k: a for k, a in nxt.items() if abs(a) > _PRUNE}
     return state
-
-
-def sparse_marginal(state: dict[int, complex], qubits: list[int]) -> dict[int, float]:
-    """Measurement distribution of ``qubits`` from a sparse state."""
-    out: dict[int, float] = {}
-    for k, a in state.items():
-        key = extract_bits(k, qubits)
-        out[key] = out.get(key, 0.0) + abs(a) ** 2
-    return out
-
-
-def sparse_to_dense(state: dict[int, complex], qubit_count: int) -> StateVector:
-    amps = np.zeros(1 << qubit_count, dtype=np.complex128)
-    for k, a in state.items():
-        amps[k] = a
-    return StateVector(qubit_count, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +323,11 @@ def run_basis(circ: Circuit, bits: int) -> int:
     """Track one basis state through a permutation-only circuit.
 
     Raises:
-        ValueError: on H, S, T or TDG, which do not permute basis states.
+        ValueError: on H, which does not permute basis states.
     """
     tables: dict[str, np.ndarray] = {}
     for gate in circ.gates:
-        if gate.kind not in _PERMUTATION_KINDS:
+        if gate.kind == "H":
             raise ValueError(f"{gate.kind} is not a permutation gate")
         if gate.kind == "ORACLE":
             table = _oracle_table(tables, circ.oracles, gate)
@@ -417,12 +359,12 @@ def run_basis_batch(
     share their oracle tables, keyed by oracle name.
 
     Raises:
-        ValueError: on H, S, T or TDG, which do not permute basis states,
-            or, for int64 indices, on a gate past qubit 62.
+        ValueError: on H, which does not permute basis states, or, for
+            int64 indices, on a gate past qubit 62.
     """
     bits = np.asarray(bits)
     for gate in gates:
-        if gate.kind not in _PERMUTATION_KINDS:
+        if gate.kind == "H":
             raise ValueError(f"{gate.kind} is not a permutation gate")
     touched = {q for gate in gates for q in gate.qubits}
     if bits.dtype != object and max(touched, default=0) > 62:

@@ -34,8 +34,8 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .circuit import Circuit, gate_tally, resource_profile
-from .gf2 import BitMatrix, BitVector
+from .circuit import Circuit, gate_tally
+from .gf2 import BitMatrix
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,6 @@ class Synthesis:
 
     circuit: Circuit
     stages: list[StageCost]
-
-    def profile(self):
-        return resource_profile(self.circuit)
 
 
 def stage_totals(stages: list[StageCost]) -> dict[str, int]:
@@ -125,11 +122,12 @@ class _Builder:
         """Compute, run the ``with`` body, then uncompute exactly.
 
         ``compute()`` emits a permutation-only block and its return value
-        is bound by ``with``. After the body the block's inverse (each
-        gate inverted, in reverse order) is appended, which returns the
-        block's qubits to their inputs provided the body leaves them as it
-        found them; then the pool qubits the block still holds go back to
-        the pool, last taken first, so nested blocks unwind like a stack.
+        is bound by ``with``. After the body the block's inverse is
+        appended: its gates in reverse order, as every gate is its own
+        inverse. That returns the block's qubits to their inputs provided
+        the body leaves them as it found them; then the pool qubits the
+        block still holds go back to the pool, last taken first, so nested
+        blocks unwind like a stack.
         """
         start, depth = len(self.circ.gates), len(self._held)
         result = compute()
@@ -137,7 +135,7 @@ class _Builder:
         taken = self._held[depth:]
         yield result
         assert self._held[depth:] == taken, "body kept a pool qubit"
-        self.circ.extend([g.inverse() for g in reversed(block)])
+        self.circ.extend(block[::-1])
         del self._held[depth:]
         self._free.extend(reversed(taken))
 
@@ -477,7 +475,7 @@ def kernel_circuit(l: int, n: int) -> Synthesis:
 
 
 # ---------------------------------------------------------------------------
-# Classical wrappers (pack input, run the basis tracker, unpack output)
+# Matrix registers as basis indices
 
 
 def pack_matrix(a: BitMatrix, above: int = 0) -> int:
@@ -496,36 +494,3 @@ def unpack_matrix(bits: int, rows: int, cols: int) -> BitMatrix:
     """The rows x cols matrix register at qubits 0..rows*cols-1 of ``bits``."""
     mask = (1 << cols) - 1
     return BitMatrix(rows, cols, [(bits >> (i * cols)) & mask for i in range(rows)])
-
-
-def solve_with_circuit(a: BitMatrix, b: BitVector, jordan: bool = False) -> BitVector:
-    """Run a solver circuit on classical data and read back x."""
-    from . import sim
-
-    syn = jordan_solve_circuit(a.rows) if jordan else gauss_solve_circuit(a.rows)
-    out = sim.run_basis(syn.circuit, pack_matrix(a, b.bits))
-    return BitVector(a.rows, sim.extract_bits(out, list(syn.circuit.registers["b"])))
-
-
-def rref_with_circuit(a: BitMatrix) -> BitMatrix:
-    """Run the reduction circuit on classical data and read back the matrix."""
-    from . import sim
-
-    syn = rref_circuit(a.rows, a.cols)
-    return unpack_matrix(sim.run_basis(syn.circuit, pack_matrix(a)), a.rows, a.cols)
-
-
-def kernel_with_circuit(y: BitMatrix) -> tuple[int, BitVector, BitMatrix, int]:
-    """Run kernel extraction classically.
-
-    Returns (flag, s, matrix register after, ancilla bits after); the last
-    two let tests confirm the uncompute really restored everything.
-    """
-    from . import sim
-
-    circ = kernel_circuit(y.rows, y.cols).circuit
-    out = sim.run_basis(circ, pack_matrix(y))
-    s = BitVector(y.cols, sim.extract_bits(out, list(circ.registers["s"])))
-    flag = sim.extract_bits(out, list(circ.registers["flag"]))
-    after = unpack_matrix(out, y.rows, y.cols)
-    return flag, s, after, out >> (y.rows * y.cols + y.cols + 1)

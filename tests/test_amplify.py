@@ -1,11 +1,13 @@
 """Tests for amplitude amplification against the closed-form success law."""
 
 import math
+from itertools import islice
 
+import numpy as np
 import pytest
 
 from qgms.amplify import (
-    amplitude_amplify,
+    _iterates,
     grover_probability,
     success_curve,
     uniform_prep,
@@ -49,8 +51,8 @@ def test_multiple_marked_states():
 
 
 def test_iterations_preserve_norm():
-    state = amplitude_amplify(uniform_prep(4), [0, 9], 7)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    _, amps = next(islice(_iterates(uniform_prep(4), [0, 9]), 7, None))
+    assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eight_states_two_iterations_value():

@@ -24,6 +24,7 @@ from qgms.analysis import (
     prepare_initial_state,
     query_ratio,
     rank_only_mask,
+    required_qubits,
     run_gms,
     run_gms_per_gate,
     success_mask,
@@ -57,7 +58,8 @@ def test_config_validation():
         GmsConfig(2, 2, 0, fx)
     with pytest.raises(ValueError):
         GmsConfig(2, 2, 2, fx, c_check=5)
-    assert fixture_cfg().required_qubits() == 2 + 8 + 2 + 1
+    cfg = fixture_cfg()
+    assert required_qubits(cfg.m, cfg.n, cfg.l) == 2 + 8 + 2 + 1
 
 
 def test_initial_state_key_marginal_uniform():
@@ -289,7 +291,7 @@ def test_search_circuit_keeps_scratch_clean():
 def test_cap_enforced():
     fx = build_fx_oracle(8, 8, 0, 1, 0)
     cfg = GmsConfig(8, 8, 8, fx)
-    assert cfg.required_qubits() == 145
+    assert required_qubits(cfg.m, cfg.n, cfg.l) == 145
     with pytest.raises(sim.QubitCapExceeded):
         run_gms(cfg, t_max=1)
 

@@ -18,15 +18,9 @@ def test_gate_shape_validation():
         Gate("MCX", (0,), (1, 2))  # must have >= 3 controls
     with pytest.raises(ValueError):
         Gate("CZ", (0,), (1,))
-
-
-def test_gate_inverse():
-    assert Gate("T", (0,)).inverse().kind == "TDG"
-    assert Gate("TDG", (0,)).inverse().kind == "T"
-    tof = Gate("TOFFOLI", (2,), (0, 1))
-    assert tof.inverse() is tof
-    with pytest.raises(ValueError):
-        Gate("S", (0,)).inverse()
+    for kind in ("S", "T", "TDG"):  # phase gates are not in the set
+        with pytest.raises(ValueError):
+            Gate(kind, (0,))
 
 
 def test_circuit_bounds_check():
@@ -43,15 +37,6 @@ def test_mcx_lowering():
     c.mcx([0, 1, 2], 4)
     kinds = [g.kind for g in c.gates]
     assert kinds == ["CNOT", "TOFFOLI", "MCX"]
-
-
-def test_inverse_gates_order():
-    c = Circuit(3)
-    c.x(0)
-    c.t(1)
-    c.cnot(0, 2)
-    inv = c.inverse_gates()
-    assert [g.kind for g in inv] == ["CNOT", "TDG", "X"]
 
 
 def test_oracle_block_registration():
@@ -119,11 +104,3 @@ def test_to_text_format():
         "TOFFOLI 3 ; 0 1",
         "ORACLE f 2 ; 0 1",
     ]
-
-
-def test_counts():
-    c = Circuit(3)
-    c.x(0)
-    c.x(1)
-    c.cnot(0, 1)
-    assert c.counts() == {"X": 2, "CNOT": 1}

@@ -161,9 +161,10 @@ def test_bad_qubit_cap_is_a_usage_error(tmp_path, args, env):
     [
         (["verify", "circuits"], "8"),
         (["verify", "gms"], "8"),
-        (["verify", "deferred", "--n", "3", "--l", "4"], "10"),
+        (["verify", "deferred", "--n", "3", "--l", "4"], "15"),
+        (["verify", "deferred", "--n", "8", "--l", "5"], "24"),
     ],
-    ids=["circuits", "gms", "deferred-support"],
+    ids=["circuits", "gms", "deferred-support", "deferred-table"],
 )
 def test_verify_over_the_qubit_cap_exits_3(tmp_path, args, cap):
     """The cap is a documented exit code, not a failed self-check."""

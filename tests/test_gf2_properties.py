@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qgms.gf2 import (
     BitMatrix,
     BitVector,
-    general_solution,
     is_rref,
     nullspace_basis,
     orthogonal_table,
@@ -50,35 +49,6 @@ def test_rref_is_idempotent(a):
     assert is_rref(once.matrix)
     assert twice.matrix == once.matrix
     assert twice.pivot_cols == once.pivot_cols
-
-
-@settings(max_examples=150, deadline=None)
-@given(matrices(), st.data())
-def test_general_solution_solves_the_system(a, data):
-    x = BitVector(a.cols, data.draw(st.integers(0, (1 << a.cols) - 1)))
-    b = a.mul_vec(x)
-    got = general_solution(a, b)
-    assert got is not None
-    x0, basis = got
-    assert a.mul_vec(x0) == b
-    assert len(basis) == a.cols - rank(a)
-    for v in basis:
-        assert a.mul_vec(x0 ^ v) == b
-    # x differs from x0 by a kernel vector, so it lies in x0 + span(basis)
-    assert rank(stacked([*basis, x0 ^ x], a.cols)) == len(basis)
-
-
-@settings(max_examples=150, deadline=None)
-@given(matrices(), st.data())
-def test_general_solution_is_none_exactly_when_inconsistent(a, data):
-    b = BitVector(a.rows, data.draw(st.integers(0, (1 << a.rows) - 1)))
-    aug = BitMatrix(
-        a.rows, a.cols + 1, [a.row_bits[i] | (b.get(i) << a.cols) for i in range(a.rows)]
-    )
-    got = general_solution(a, b)
-    assert (got is None) == (rank(aug) > rank(a))
-    if got is not None:
-        assert a.mul_vec(got[0]) == b
 
 
 @settings(max_examples=150, deadline=None)

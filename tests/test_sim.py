@@ -11,7 +11,6 @@ import pytest
 from qgms.circuit import Circuit, Gate
 from qgms.sim import (
     QubitCapExceeded,
-    StateVector,
     UnresolvedOracle,
     extract_bits,
     pack_bits,
@@ -19,9 +18,14 @@ from qgms.sim import (
     run_basis,
     run_basis_batch,
     run_sparse,
-    sparse_marginal,
-    sparse_to_dense,
 )
+
+
+def as_dense(state: dict[int, complex], qubit_count: int) -> np.ndarray:
+    """A sparse state's amplitudes as a dense vector."""
+    amps = np.zeros(1 << qubit_count, dtype=np.complex128)
+    amps[list(state)] = list(state.values())
+    return amps
 
 
 def random_circuit(rng: random.Random, q: int, gates: int, h_frac: float) -> Circuit:
@@ -30,8 +34,6 @@ def random_circuit(rng: random.Random, q: int, gates: int, h_frac: float) -> Cir
         r = rng.random()
         if r < h_frac:
             c.h(rng.randrange(q))
-        elif h_frac > 0 and r < h_frac + 0.1:
-            c.append(Gate(rng.choice(["S", "T", "TDG"]), (rng.randrange(q),)))
         else:
             kind = rng.choice(["X", "CNOT", "TOFFOLI", "MCX"])
             need = {"X": 1, "CNOT": 2, "TOFFOLI": 3, "MCX": 4}[kind]
@@ -72,9 +74,8 @@ def test_x_and_controls():
 def test_gate_identities_return_to_start():
     for build in [
         lambda c: (c.h(0), c.h(0)),
-        lambda c: (c.s(0), c.s(0), c.s(0), c.s(0)),
-        lambda c: (c.t(0), c.tdg(0)),
-        lambda c: tuple(c.t(0) for _ in range(8)),
+        lambda c: (c.x(0), c.x(0)),
+        lambda c: [gate(0) for gate in (c.h, c.x, c.h) * 2],  # Z = HXH, twice
     ]:
         c = Circuit(1)
         c.h(0)  # start off-basis so phases matter
@@ -82,17 +83,6 @@ def test_gate_identities_return_to_start():
         c.h(0)
         s = run(c)
         assert s.probability(0) == pytest.approx(1.0)
-
-
-def test_s_is_t_squared():
-    a = Circuit(1)
-    a.h(0)
-    a.s(0)
-    b = Circuit(1)
-    b.h(0)
-    b.t(0)
-    b.t(0)
-    assert np.allclose(run(a).amps, run(b).amps)
 
 
 def test_norm_preserved():
@@ -193,8 +183,8 @@ def test_sparse_matches_dense_random_circuits():
     for trial in range(4):
         c = random_circuit(rng, 7, 60, 0.25)
         dense = run(c, initial=5)
-        sparse = sparse_to_dense(run_sparse(c, initial=5), 7)
-        assert np.allclose(dense.amps, sparse.amps, atol=1e-10)
+        sparse = as_dense(run_sparse(c, initial=5), 7)
+        assert np.allclose(dense.amps, sparse, atol=1e-10)
 
 
 def test_sparse_support_collapses_after_uncompute():
@@ -221,8 +211,6 @@ def test_marginal_bell():
     m = s.marginal([0, 2])
     assert np.allclose(m, [0.5, 0, 0, 0.5])
     assert np.allclose(s.marginal([1]), [1, 0])
-    sp = sparse_marginal(run_sparse(c), [0, 2])
-    assert sp[0] == pytest.approx(0.5) and sp[3] == pytest.approx(0.5)
 
 
 def test_reduced_purity_product_vs_entangled():
@@ -243,7 +231,7 @@ def test_pack_extract_roundtrip():
         assert extract_bits(bits, qubits) == val
 
 
-def test_statevector_basis_constructor():
-    s = StateVector.basis(3, 0b101)
+def test_statevector_probability_and_norm():
+    s = run(Circuit(3), initial=0b101)
     assert s.probability(0b101) == 1.0
     assert s.norm() == pytest.approx(1.0)

@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from qgms.circuit import Circuit
+from qgms.circuit import Circuit, resource_profile
 from qgms.gf2 import (
     BitMatrix,
     BitVector,
@@ -30,11 +30,24 @@ from qgms.synth import (
     jordan_closed_form,
     jordan_solve_circuit,
     jordan_stage_costs,
+    pack_matrix,
     rref_circuit,
-    rref_with_circuit,
-    solve_with_circuit,
     stage_totals,
+    unpack_matrix,
 )
+
+
+def solve_with_circuit(a: BitMatrix, b: BitVector, jordan: bool = False) -> BitVector:
+    """Run a solver circuit on classical data and read back x."""
+    syn = jordan_solve_circuit(a.rows) if jordan else gauss_solve_circuit(a.rows)
+    out = run_basis(syn.circuit, pack_matrix(a, b.bits))
+    return BitVector(a.rows, extract_bits(out, list(syn.circuit.registers["b"])))
+
+
+def rref_with_circuit(a: BitMatrix) -> BitMatrix:
+    """Run the reduction circuit on classical data and read back the matrix."""
+    syn = rref_circuit(a.rows, a.cols)
+    return unpack_matrix(run_basis(syn.circuit, pack_matrix(a)), a.rows, a.cols)
 
 
 def all_matrices(rows: int, cols: int):
@@ -143,7 +156,7 @@ def test_profiles_match_stage_sums():
         (gauss_solve_circuit(5), gauss_stage_costs(5)),
         (jordan_solve_circuit(5), jordan_stage_costs(5)),
     ]:
-        p = syn.profile()
+        p = resource_profile(syn.circuit)
         t = stage_totals(pred)
         assert p.toffoli == t["toffoli"]
         assert p.t_depth == 7 * t["toffoli"]
