@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -153,10 +153,16 @@ def ug_classifier(k_prime, y_matrix: BitMatrix, oracle: FxOracle, plaintexts) ->
     return 1
 
 
+@lru_cache(maxsize=8)
 def _kernel_vector(n: int, l: int) -> np.ndarray:
-    """kernel[packed Y]: the nonzero s with Y s = 0 if Y has rank n-1, else 0."""
+    """kernel[packed Y]: the nonzero s with Y s = 0 if Y has rank n-1, else 0.
+
+    Read-only, because the cache hands the same array to every caller.
+    """
     orth = orthogonal_table(n, l)[:, 1:]
-    return np.where(orth.sum(axis=1) == 1, orth.argmax(axis=1) + 1, 0)
+    kernel = np.where(orth.sum(axis=1) == 1, orth.argmax(axis=1) + 1, 0)
+    kernel.flags.writeable = False
+    return kernel
 
 
 def _passes(cfg: GmsConfig) -> np.ndarray:
@@ -803,21 +809,13 @@ def analysis_report(cfg: GmsConfig, t_max: int | None = None) -> dict:
         "t_curve": [[t, p] for t, p in enumerate(curve)],
         "theorem3_T": t_est,
         "query_ratio": query_ratio(cfg.m, cfg.n).as_dict(),
-        "counts": counts.as_dict(),
+        "counts": asdict(counts),
         "r_phase_marked": accept_stats.marked,
         "p_max_phase_marked": accept_stats.p_max,
         "r_rank_only": rank_stats.marked,
         "p_max_rank_only": rank_stats.p_max,
         "two_to_one_model": ideal,
-        "hybrid": {
-            "accept_probs": list(hybrid.accept_probs),
-            "p_true": hybrid.p_true,
-            "false_positive_keys": list(hybrid.false_positive_keys),
-            "reps": hybrid.reps,
-            "t_star": hybrid.t_star,
-            "grover_p": hybrid.grover_p,
-            "success": hybrid.success,
-        },
+        "hybrid": asdict(hybrid),
         "warnings": report_warnings,
     }
     return report

@@ -31,7 +31,6 @@ class RegisterMismatch(Exception):
 # named kind.
 _KINDS = {"X", "H", "CNOT", "TOFFOLI", "MCX", "ORACLE"}
 
-TOFFOLI_T_COUNT = 7
 TOFFOLI_T_DEPTH = 7
 TOFFOLI_CNOT_COUNT = 6
 
@@ -107,16 +106,6 @@ class ResourceProfile:
     ancilla: int
     total_qubits: int
     raw_cnot: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "cnot": self.cnot,
-            "toffoli": self.toffoli,
-            "t_depth": self.t_depth,
-            "ancilla": self.ancilla,
-            "total_qubits": self.total_qubits,
-            "raw_cnot": self.raw_cnot,
-        }
 
 
 @dataclass

@@ -15,7 +15,7 @@ version, timestamp). The timestamp honours SOURCE_DATE_EPOCH so that
 runs with a fixed seed and a fixed epoch are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 qubit cap exceeded.
+3 qubit cap exceeded (or an allocation the cap allowed failed).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,6 +59,11 @@ def run_manifest(subcommand: str, config: dict, seeds: dict) -> dict:
 def _usage_error(message: str) -> int:
     print(f"qgms: error: {message}", file=sys.stderr)
     return 2
+
+
+def _cap_error(exc: Exception) -> int:
+    print(str(exc) or "out of memory", file=sys.stderr)
+    return 3
 
 
 def _write_all(out: Path, files: dict[str, str]) -> int:
@@ -96,7 +102,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "manifest": run_manifest(
             "synth", {"kind": args.kind, "n": args.n}, {}
         ),
-        "constructed": resource_profile(syn.circuit).as_dict(),
+        "constructed": asdict(resource_profile(syn.circuit)),
         "closed_form": closed,
         "stage_sum": stage_sum,
     }
@@ -122,9 +128,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error("--n/--l only apply to the deferred suite")
     try:
         result = verify.run_suite(args.suite, **kwargs)
-    except QubitCapExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
+    except (QubitCapExceeded, MemoryError) as exc:
+        return _cap_error(exc)
     payload = result.as_dict()
     payload["manifest"] = run_manifest("verify", {"suite": args.suite, **kwargs}, {})
     sys.stdout.write(_dump_json(payload))
@@ -155,9 +160,8 @@ def cmd_gms(args: argparse.Namespace) -> int:
         except (ValueError, ZeroWhiteningKey) as exc:
             return _usage_error(str(exc))
         report = analysis_report(cfg, t_max=args.t_max)
-    except QubitCapExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
+    except (QubitCapExceeded, MemoryError) as exc:
+        return _cap_error(exc)
     report["manifest"] = run_manifest(
         "gms",
         {

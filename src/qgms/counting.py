@@ -34,14 +34,6 @@ class CountReport:
     formula_count: int
     agreement: bool | None
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "brute_count": self.brute_count,
-            "formula_count": self.formula_count,
-            "agreement": self.agreement,
-        }
-
 
 def rank_deficit_one_formula(n: int) -> int:
     """Closed-form count of rank-(n-1) matrices with rows from V."""

@@ -118,9 +118,6 @@ class BitMatrix:
     def copy(self) -> BitMatrix:
         return BitMatrix(self.rows, self.cols, list(self.row_bits))
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_bits[i])
-
     def mul_vec(self, x: BitVector) -> BitVector:
         """Matrix-vector product A @ x over GF(2)."""
         if x.length != self.cols:

@@ -195,22 +195,12 @@ def period_finding_rounds(
             circ.h(q)
 
 
-def simon_round_circuit(oracle: SimonOracle) -> Circuit:
-    """One period-finding round: H, query, H on a 2n-qubit register pair.
-
-    Qubits 0..n-1 start as the query register and hold y afterwards;
-    qubits n..2n-1 hold the function value.
-    """
-    circ = parallel_simon_circuit(oracle, 1)
-    circ.registers = {"y": circ.registers["y0"], "f": circ.registers["f0"]}
-    return circ
-
-
 def parallel_simon_circuit(oracle: SimonOracle, l: int) -> Circuit:
-    """l independent rounds side by side (2nl qubits).
+    """l independent H / query / H rounds side by side (2nl qubits).
 
-    Round j occupies qubits 2nj..2n(j+1)-1, laid out as in
-    simon_round_circuit; registers "y0", "f0", "y1", ... name the parts.
+    Round j occupies qubits 2nj..2n(j+1)-1: the first n start as its
+    query register and hold y afterwards, the last n hold the function
+    value. Registers "y0", "f0", "y1", ... name the parts.
     """
     n = oracle.n
     circ = Circuit(2 * n * l)

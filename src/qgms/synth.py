@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .circuit import Circuit, gate_tally
+from .circuit import TOFFOLI_CNOT_COUNT, TOFFOLI_T_DEPTH, Circuit, gate_tally
 from .gf2 import BitMatrix
 
 
@@ -51,7 +51,7 @@ class StageCost:
 
 @dataclass
 class Synthesis:
-    """A built circuit plus its per-stage accounting."""
+    """A solver circuit plus its per-stage accounting."""
 
     circuit: Circuit
     stages: list[StageCost]
@@ -73,8 +73,8 @@ class _Builder:
     or a fresh one; only ``mirrored`` gives pool qubits back.
     ``flip_if`` and ``pool_flag`` write the mixed-polarity test
     (X-conjugated multi-controlled X) the guards and indicators share.
-    ``begin_stage`` marks the gate index and ancilla count; ``end_stage``
-    tallies only the gates appended since into a StageCost record.
+    ``stage`` tallies the gates and ancillas its ``with`` body appends
+    into one StageCost record.
     """
 
     def __init__(self, circ: Circuit):
@@ -82,7 +82,6 @@ class _Builder:
         self._free: list[int] = []
         self._held: list[int] = []
         self.stages: list[StageCost] = []
-        self._mark: tuple[str, int, int, int] | None = None
 
     def fresh(self) -> int:
         q = self.circ.qubit_count
@@ -139,17 +138,15 @@ class _Builder:
         del self._held[depth:]
         self._free.extend(reversed(taken))
 
-    def begin_stage(self, stage: str, column: int) -> None:
-        self._mark = (stage, column, len(self.circ.gates), self.circ.ancilla_count)
-
-    def end_stage(self) -> None:
-        assert self._mark is not None
-        stage, column, start, a0 = self._mark
+    @contextmanager
+    def stage(self, name: str, column: int):
+        """Record the gates and ancillas the ``with`` body appends, even none."""
+        start, a0 = len(self.circ.gates), self.circ.ancilla_count
+        yield
         cnot, toffoli = gate_tally(self.circ.gates[start:])
         self.stages.append(
-            StageCost(stage, column, cnot, toffoli, self.circ.ancilla_count - a0)
+            StageCost(name, column, cnot, toffoli, self.circ.ancilla_count - a0)
         )
-        self._mark = None
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +178,24 @@ def _pivot_stage(bld: _Builder, a: list[list[int]], b: list[int], c: int) -> Non
         circ.toffoli(h, b[q], b[c])
 
 
+def _eliminate(
+    bld: _Builder, a: list[list[int]], b: list[int], c: int, rows: Sequence[int]
+) -> None:
+    """Clear column c of each of ``rows`` by adding pivot row c where it is set."""
+    circ = bld.circ
+    n = len(a)
+    for r in rows:
+        e = bld.fresh()
+        circ.cnot(a[r][c], e)
+        for d in range(c + 1, n):
+            circ.toffoli(e, a[c][d], a[r][d])
+        circ.toffoli(e, b[c], b[r])
+        # The snapshot equals the entry being cleared, so one CNOT
+        # zeroes it; when the pivot is absent the snapshot is the
+        # entry of an untouched row and this still just clears it.
+        circ.cnot(e, a[r][c])
+
+
 def gauss_solve_circuit(n: int) -> Synthesis:
     """Triangular solver: forward elimination, then back substitution.
 
@@ -194,26 +209,14 @@ def gauss_solve_circuit(n: int) -> Synthesis:
     circ, a, b = _solver_frame(n)
     bld = _Builder(circ)
     for c in range(n):
-        bld.begin_stage("pivot", c)
-        _pivot_stage(bld, a, b, c)
-        bld.end_stage()
-        bld.begin_stage("eliminate", c)
-        for r in range(c + 1, n):
-            e = bld.fresh()
-            circ.cnot(a[r][c], e)
-            for d in range(c + 1, n):
-                circ.toffoli(e, a[c][d], a[r][d])
-            circ.toffoli(e, b[c], b[r])
-            # The snapshot equals the entry being cleared, so one CNOT
-            # zeroes it; when the pivot is absent the snapshot is the
-            # entry of an untouched row and this still just clears it.
-            circ.cnot(e, a[r][c])
-        bld.end_stage()
-    bld.begin_stage("back_substitute", -1)
-    for j in range(n - 1, 0, -1):
-        for i in range(j - 1, -1, -1):
-            circ.toffoli(a[i][j], b[j], b[i])
-    bld.end_stage()
+        with bld.stage("pivot", c):
+            _pivot_stage(bld, a, b, c)
+        with bld.stage("eliminate", c):
+            _eliminate(bld, a, b, c, range(c + 1, n))
+    with bld.stage("back_substitute", -1):
+        for j in range(n - 1, 0, -1):
+            for i in range(j - 1, -1, -1):
+                circ.toffoli(a[i][j], b[j], b[i])
     return Synthesis(circ, bld.stages)
 
 
@@ -232,31 +235,20 @@ def jordan_solve_circuit(n: int) -> Synthesis:
     bld = _Builder(circ)
     last = n - 1
     for c in range(n):
-        bld.begin_stage("pivot", c)
-        _pivot_stage(bld, a, b, c)
-        bld.end_stage()
+        with bld.stage("pivot", c):
+            _pivot_stage(bld, a, b, c)
         if c == last:
             break
-        bld.begin_stage("eliminate", c)
-        for r in range(n):
-            if r == c:
-                continue
+        with bld.stage("eliminate", c):
+            _eliminate(bld, a, b, c, [r for r in range(n) if r != c])
+    with bld.stage("cleanup", last):
+        for r in range(last):
+            # Row last is e_last by now, so clearing a[r][last] is a plain
+            # conditional XOR of b[last] into b[r].
             e = bld.fresh()
-            circ.cnot(a[r][c], e)
-            for d in range(c + 1, n):
-                circ.toffoli(e, a[c][d], a[r][d])
-            circ.toffoli(e, b[c], b[r])
-            circ.cnot(e, a[r][c])
-        bld.end_stage()
-    bld.begin_stage("cleanup", last)
-    for r in range(last):
-        # Row last is e_last by now, so clearing a[r][last] is a plain
-        # conditional XOR of b[last] into b[r].
-        e = bld.fresh()
-        circ.cnot(a[r][last], e)
-        circ.cnot(e, a[r][last])
-        circ.toffoli(e, b[last], b[r])
-    bld.end_stage()
+            circ.cnot(a[r][last], e)
+            circ.cnot(e, a[r][last])
+            circ.toffoli(e, b[last], b[r])
     return Synthesis(circ, bld.stages)
 
 
@@ -302,7 +294,7 @@ def gauss_closed_form(n: int) -> dict[str, int]:
     return {
         "cnot": (8 * n**3 - 15 * n**2 - 23 * n) // 2,
         "toffoli": toffoli,
-        "t_depth": 7 * toffoli,
+        "t_depth": TOFFOLI_T_DEPTH * toffoli,
         "ancilla": n * (n - 1),
     }
 
@@ -313,15 +305,15 @@ def jordan_closed_form(n: int) -> dict[str, int]:
     return {
         "cnot": (10 * n**3 + 11 * n**2 - 21 * n) // 2,
         "toffoli": toffoli,
-        "t_depth": 7 * toffoli,
+        "t_depth": TOFFOLI_T_DEPTH * toffoli,
         "ancilla": 3 * n * (n - 1) // 2,
     }
 
 
 def expanded_cnot(stages: list[StageCost]) -> int:
-    """CNOT total after Toffoli expansion (6 CNOTs each) of a stage list."""
+    """CNOT total of a stage list, each Toffoli expanded to TOFFOLI_CNOT_COUNT."""
     t = stage_totals(stages)
-    return t["cnot"] + 6 * t["toffoli"]
+    return t["cnot"] + TOFFOLI_CNOT_COUNT * t["toffoli"]
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +360,15 @@ def rref_core(bld: _Builder, rows: list[list[int]]) -> None:
                         circ.cnot(e, rows[r][c])
 
 
-def rref_circuit(m: int, n: int) -> Synthesis:
-    """Reduced row echelon form of an m x n matrix register, in place."""
+def rref_circuit(m: int, n: int) -> Circuit:
+    """Circuit reducing an m x n matrix register (register "a") to RREF in place."""
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
     circ = Circuit(m * n)
     rows = [[i * n + j for j in range(n)] for i in range(m)]
     circ.registers = {"a": tuple(q for row in rows for q in row)}
-    bld = _Builder(circ)
-    bld.begin_stage("rref", -1)
-    rref_core(bld, rows)
-    bld.end_stage()
-    return Synthesis(circ, bld.stages)
+    rref_core(_Builder(circ), rows)
+    return circ
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +438,8 @@ def kernel_core(
                             circ.mcx([flag, lead[i, p], rows[i][j], piv[j]], s_out[p])
 
 
-def kernel_circuit(l: int, n: int) -> Synthesis:
-    """Equation matrix in, kernel vector and rank flag out.
+def kernel_circuit(l: int, n: int) -> Circuit:
+    """Circuit taking an equation matrix in, a kernel vector and rank flag out.
 
     Registers: ``y`` holds the l x n matrix (row-major), ``s`` receives
     the kernel vector when the rank is exactly n-1, ``flag`` receives the
@@ -467,11 +456,8 @@ def kernel_circuit(l: int, n: int) -> Synthesis:
         "s": tuple(s_out),
         "flag": (flag,),
     }
-    bld = _Builder(circ)
-    bld.begin_stage("kernel", -1)
-    kernel_core(bld, rows, s_out, flag)
-    bld.end_stage()
-    return Synthesis(circ, bld.stages)
+    kernel_core(_Builder(circ), rows, s_out, flag)
+    return circ
 
 
 # ---------------------------------------------------------------------------

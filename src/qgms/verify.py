@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -57,7 +57,7 @@ from .gf2 import (
     row_space,
     rref,
 )
-from .oracles import build_fx_oracle, build_simon_oracle, simon_round_circuit
+from .oracles import build_fx_oracle, build_simon_oracle, parallel_simon_circuit
 
 REFERENCE = dict(m=2, n=2, key=2, k1=3, k2=1, cipher_seed=72)
 
@@ -71,9 +71,6 @@ class Check:
     name: str
     passed: bool
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 @dataclass
@@ -94,7 +91,7 @@ class SuiteResult:
             "suite": self.suite,
             "passed": self.passed,
             "elapsed_s": round(self.elapsed_s, 3),
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -254,9 +251,9 @@ def _norm_circuits() -> list[tuple[str, object]]:
     return [
         ("gauss_2", synth.gauss_solve_circuit(2).circuit),
         ("jordan_2", synth.jordan_solve_circuit(2).circuit),
-        ("rref_2x2", synth.rref_circuit(2, 2).circuit),
-        ("kernel_2x2", synth.kernel_circuit(2, 2).circuit),
-        ("simon_round_2", simon_round_circuit(build_simon_oracle(2, 3, rng=72))),
+        ("rref_2x2", synth.rref_circuit(2, 2)),
+        ("kernel_2x2", synth.kernel_circuit(2, 2)),
+        ("simon_round_2", parallel_simon_circuit(build_simon_oracle(2, 3, rng=72), 1)),
         ("search_1_2_1", build_gms_circuit(GmsConfig(1, 2, 1, fx))[0]),
     ]
 
@@ -268,9 +265,8 @@ def suite_circuits() -> SuiteResult:
     res.checks.append(_solver_equivalence(jordan=False))
     res.checks.append(_solver_equivalence(jordan=True))
 
-    syn = synth.rref_circuit(3, 3)
     matrices = list(_all_matrices(3))
-    outs = _truth_table(syn.circuit, [synth.pack_matrix(a) for a in matrices])
+    outs = _truth_table(synth.rref_circuit(3, 3), [synth.pack_matrix(a) for a in matrices])
     bad = 0
     for a, out in zip(matrices, outs):
         if synth.unpack_matrix(out, 3, 3).row_bits != rref(a).matrix.row_bits:

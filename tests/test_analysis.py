@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qgms import analysis, sim
+from qgms import analysis, sim, verify
 from qgms.analysis import (
     AmplitudeStats,
     DegenerateUnmarkedMean,
@@ -475,6 +475,24 @@ def test_deferred_equals_immediate_other_shapes():
     cmp = deferred_vs_immediate(2, 3, 2, seed=2)
     assert cmp.max_abs_diff < 1e-10
     assert cmp.p_correct == pytest.approx(cmp.r / 8.0, abs=1e-12)
+
+
+def test_deferred_suite_builds_one_kernel_table_per_shape(monkeypatch):
+    # The kernel table depends only on (n, l): the seven periods at n = 3
+    # share one build, and every caller gets the cached array read-only.
+    real = analysis.orthogonal_table
+    built = []
+
+    def counting(n, l):
+        built.append((n, l))
+        return real(n, l)
+
+    analysis._kernel_vector.cache_clear()
+    monkeypatch.setattr(analysis, "orthogonal_table", counting)
+    assert verify.suite_deferred(n=3, l=2).passed
+    assert built == [(3, 2)]
+    with pytest.raises(ValueError):
+        analysis._kernel_vector(3, 2)[0] = 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_cli(args, cwd, env_extra=None, preexec_fn=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -18,6 +19,7 @@ def run_cli(args, cwd, env_extra=None):
         env=env,
         capture_output=True,
         text=True,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -173,6 +175,29 @@ def test_verify_over_the_qubit_cap_exits_3(tmp_path, args, cap):
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def _limit_address_space():
+    """Cap the child at 2 GB of address space, so a huge array fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gms", "--m", "2", "--n", "6", "--l", "4"],
+        ["verify", "deferred", "--n", "6", "--l", "8"],
+    ],
+    ids=["gms", "deferred"],
+)
+def test_failed_allocation_under_a_raised_cap_exits_3(tmp_path, args):
+    """A state the cap allows but the host cannot allocate exits 3, not 1."""
+    proc = run_cli(args, tmp_path, {"QGMS_QUBIT_CAP": "62"}, _limit_address_space)
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_gms_report_and_reproducibility(tmp_path):

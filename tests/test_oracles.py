@@ -12,7 +12,6 @@ from qgms.oracles import (
     is_two_to_one,
     parallel_simon_circuit,
     periods_of,
-    simon_round_circuit,
     y_marginal,
 )
 
@@ -71,7 +70,7 @@ def test_simon_round_y_marginal_uniform_on_orthogonal_subspace():
     # orthogonal to the period, uniformly, for any choice of table values.
     for n, s in ((2, 3), (2, 1), (3, 1), (3, 6)):
         orc = build_simon_oracle(n, s, rng=9)
-        state = sim.run(simon_round_circuit(orc))
+        state = sim.run(parallel_simon_circuit(orc, 1))
         marg = state.marginal(range(n))
         expected = {
             y: 1.0 / (1 << (n - 1)) for y in range(1 << n) if parity(y & s) == 0
@@ -82,7 +81,7 @@ def test_simon_round_y_marginal_uniform_on_orthogonal_subspace():
 
 def test_simon_round_matches_table_marginal_formula():
     orc = build_simon_oracle(3, 2, rng=11)
-    state = sim.run(simon_round_circuit(orc))
+    state = sim.run(parallel_simon_circuit(orc, 1))
     marg = state.marginal(range(3))
     formula = y_marginal(orc.table, 3)
     assert np.allclose(marg, formula, atol=1e-12)
@@ -94,7 +93,7 @@ def test_parallel_simon_is_product_of_rounds():
     assert circ.qubit_count == 8
     assert set(circ.registers) == {"y0", "f0", "y1", "f1"}
     state = sim.run(circ)
-    single = sim.run(simon_round_circuit(orc)).marginal(range(2))
+    single = sim.run(parallel_simon_circuit(orc, 1)).marginal(range(2))
     joint = state.marginal([0, 1, 4, 5])
     for y0 in range(4):
         for y1 in range(4):

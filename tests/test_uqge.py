@@ -18,7 +18,7 @@ def kernel_with_circuit(y: BitMatrix) -> tuple[int, BitVector, BitMatrix, int]:
     Returns (flag, s, matrix register after, ancilla bits after); the last
     two confirm the uncompute really restored everything.
     """
-    circ = kernel_circuit(y.rows, y.cols).circuit
+    circ = kernel_circuit(y.rows, y.cols)
     out = run_basis(circ, pack_matrix(y))
     s = BitVector(y.cols, extract_bits(out, list(circ.registers["s"])))
     flag = extract_bits(out, list(circ.registers["flag"]))
@@ -78,8 +78,7 @@ def test_kernel_circuit_disentangles_ancillas():
     # The data outcome differs per branch, but every ancilla returns to
     # |0>, so the ancilla subsystem stays pure where the raw reduction
     # would leave it mixed.
-    syn = kernel_circuit(2, 2)
-    circ = syn.circuit
+    circ = kernel_circuit(2, 2)
     prep = Circuit(circ.qubit_count)
     # (|1100> + |1001>)/sqrt(2): rows {11,00} vs {10,01}, qubit i*2+j.
     prep.x(0)

@@ -40,5 +40,5 @@ def test_reference_run_is_cached():
 
 def test_gms_suite_cross_checks_operator_against_per_gate_engine():
     res = verify.run_suite("gms")
-    assert res.passed, [c.as_dict() for c in res.checks if not c.passed]
+    assert res.passed, [c for c in res.checks if not c.passed]
     assert "operator_matches_per_gate" in {c.name for c in res.checks}
