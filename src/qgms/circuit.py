@@ -30,6 +30,8 @@ class RegisterMismatch(Exception):
 # Gate kinds with fixed shapes, each its own inverse; ORACLE is the only
 # named kind.
 _KINDS = {"X", "H", "CNOT", "TOFFOLI", "MCX", "ORACLE"}
+# Circuit's constructors build checked gates without Gate.__post_init__.
+_new_gate, _set_field = object.__new__, object.__setattr__
 
 TOFFOLI_T_DEPTH = 7
 TOFFOLI_CNOT_COUNT = 6
@@ -55,7 +57,7 @@ def qubit_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate: kind, target qubits, control qubits, optional oracle name."""
 
@@ -139,18 +141,32 @@ class Circuit:
         for g in gates:
             self.append(g)
 
-    # Convenience constructors for each kind.
+    # Constructors for each kind. A gate built directly checks its kind, shape
+    # and qubits; a constructor fixes the kind and shape, so it checks only the
+    # qubits, and a gate that fails them takes the full path, which raises.
+    def _add(self, kind: str, targets: tuple[int, ...], controls: tuple[int, ...]) -> None:
+        qubits = targets + controls
+        if len(set(qubits)) < len(qubits) or min(qubits) < 0 or max(qubits) >= self.qubit_count:
+            self.append(Gate(kind, targets, controls))
+            return
+        gate = _new_gate(Gate)
+        _set_field(gate, "kind", kind)
+        _set_field(gate, "targets", targets)
+        _set_field(gate, "controls", controls)
+        _set_field(gate, "name", None)
+        self.gates.append(gate)
+
     def x(self, q: int) -> None:
-        self.append(Gate("X", (q,)))
+        self._add("X", (q,), ())
 
     def h(self, q: int) -> None:
-        self.append(Gate("H", (q,)))
+        self._add("H", (q,), ())
 
     def cnot(self, control: int, target: int) -> None:
-        self.append(Gate("CNOT", (target,), (control,)))
+        self._add("CNOT", (target,), (control,))
 
     def toffoli(self, c1: int, c2: int, target: int) -> None:
-        self.append(Gate("TOFFOLI", (target,), (c1, c2)))
+        self._add("TOFFOLI", (target,), (c1, c2))
 
     def mcx(self, controls: list[int], target: int) -> None:
         """Multi-controlled X. Two controls lower to a plain Toffoli."""
@@ -158,8 +174,10 @@ class Circuit:
             self.cnot(controls[0], target)
         elif len(controls) == 2:
             self.toffoli(controls[0], controls[1], target)
+        elif controls:
+            self._add("MCX", (target,), tuple(controls))
         else:
-            self.append(Gate("MCX", (target,), tuple(controls)))
+            self.append(Gate("MCX", (target,), ()))  # raises: no controls
 
     def oracle_block(
         self, name: str, fn: object, ins: list[int], outs: list[int]
@@ -177,13 +195,16 @@ class Circuit:
         for name, qubits in self.registers.items():
             lines.append("reg " + name + " " + " ".join(map(str, qubits)))
         for g in self.gates:
-            if g.kind == "ORACLE":
-                head = f"ORACLE {g.name} "
+            if g.kind == "TOFFOLI":  # with CNOT, nearly every solver gate
+                c1, c2 = g.controls
+                line = f"TOFFOLI {g.targets[0]} ; {c1} {c2}"
+            elif g.kind == "CNOT":
+                line = f"CNOT {g.targets[0]} ; {g.controls[0]}"
             else:
-                head = f"{g.kind} "
-            line = head + " ".join(map(str, g.targets))
-            if g.controls:
-                line += " ; " + " ".join(map(str, g.controls))
+                head = f"ORACLE {g.name} " if g.kind == "ORACLE" else f"{g.kind} "
+                line = head + " ".join(map(str, g.targets))
+                if g.controls:
+                    line += " ; " + " ".join(map(str, g.controls))
             lines.append(line)
         return "\n".join(lines) + "\n"
 

@@ -15,7 +15,8 @@ version, timestamp). The timestamp honours SOURCE_DATE_EPOCH so that
 runs with a fixed seed and a fixed epoch are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 qubit cap exceeded (or an allocation the cap allowed failed).
+3 qubit cap exceeded (or an allocation failed: a state the cap allowed,
+or a synth circuit).
 """
 
 from __future__ import annotations
@@ -88,28 +89,31 @@ def _dump_json(payload: dict) -> str:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.n < 2:
         return _usage_error("--n must be at least 2 (a 1x1 system needs no circuit)")
-    if args.kind == "qge":
-        syn = synth.gauss_solve_circuit(args.n)
-        closed = synth.gauss_closed_form(args.n)
-    else:
-        syn = synth.jordan_solve_circuit(args.n)
-        closed = synth.jordan_closed_form(args.n)
-    stage_sum = synth.stage_totals(syn.stages)
-    stage_sum["cnot_after_toffoli_expansion"] = synth.expanded_cnot(syn.stages)
-    stem = f"{args.kind}_n{args.n}"
-    payload = {
-        "schema": 1,
-        "manifest": run_manifest(
-            "synth", {"kind": args.kind, "n": args.n}, {}
-        ),
-        "constructed": asdict(resource_profile(syn.circuit)),
-        "closed_form": closed,
-        "stage_sum": stage_sum,
-    }
-    files = {
-        f"{stem}_circuit.txt": syn.circuit.to_text(),
-        f"{stem}_resources.json": _dump_json(payload),
-    }
+    try:
+        if args.kind == "qge":
+            syn = synth.gauss_solve_circuit(args.n)
+            closed = synth.gauss_closed_form(args.n)
+        else:
+            syn = synth.jordan_solve_circuit(args.n)
+            closed = synth.jordan_closed_form(args.n)
+        stage_sum = synth.stage_totals(syn.stages)
+        stage_sum["cnot_after_toffoli_expansion"] = synth.expanded_cnot(syn.stages)
+        stem = f"{args.kind}_n{args.n}"
+        payload = {
+            "schema": 1,
+            "manifest": run_manifest(
+                "synth", {"kind": args.kind, "n": args.n}, {}
+            ),
+            "constructed": asdict(resource_profile(syn.circuit)),
+            "closed_form": closed,
+            "stage_sum": stage_sum,
+        }
+        files = {
+            f"{stem}_circuit.txt": syn.circuit.to_text(),
+            f"{stem}_resources.json": _dump_json(payload),
+        }
+    except MemoryError as exc:
+        return _cap_error(exc)
     return _write_all(Path(args.out), files)
 
 

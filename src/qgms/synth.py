@@ -133,7 +133,8 @@ class _Builder:
         block = self.circ.gates[start:]
         taken = self._held[depth:]
         yield result
-        assert self._held[depth:] == taken, "body kept a pool qubit"
+        if self._held[depth:] != taken:
+            raise RuntimeError("body kept a pool qubit")
         self.circ.extend(block[::-1])
         del self._held[depth:]
         self._free.extend(reversed(taken))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from qgms.circuit import Circuit, Gate, RegisterMismatch, resource_profile
@@ -89,18 +91,92 @@ def test_resource_profile_mixed():
 
 
 def test_to_text_format():
-    c = Circuit(4, registers={"data": (0, 1), "work": (2, 3)})
+    c = Circuit(6, registers={"data": (0, 1), "work": (2, 3, 4, 5)})
     c.x(0)
+    c.h(1)
     c.cnot(0, 2)
     c.toffoli(0, 1, 3)
+    c.mcx([0, 1, 2, 3], 5)
     c.oracle_block("f", object(), ins=[0, 1], outs=[2])
+    c.oracle_block("g", object(), ins=[0], outs=[4, 5])
     text = c.to_text()
+    assert text.endswith("\n")
     assert text.splitlines() == [
-        "circuit 4",
+        "circuit 6",
         "reg data 0 1",
-        "reg work 2 3",
+        "reg work 2 3 4 5",
         "X 0",
+        "H 1",
         "CNOT 2 ; 0",
         "TOFFOLI 3 ; 0 1",
+        "MCX 5 ; 0 1 2 3",
         "ORACLE f 2 ; 0 1",
+        "ORACLE g 4 5 ; 0",
     ]
+
+
+def test_gates_are_immutable_whoever_builds_them():
+    c = Circuit(3)
+    c.toffoli(0, 1, 2)
+    built, direct = c.gates[0], Gate("TOFFOLI", (2,), (0, 1))
+    assert built == direct and hash(built) == hash(direct)
+    for gate in (built, direct):
+        for name, value in [("kind", "X"), ("targets", (0,)), ("controls", ()), ("name", "f")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(gate, name, value)
+    assert dataclasses.replace(built, targets=(1,), controls=(0, 2)) == Gate(
+        "TOFFOLI", (1,), (0, 2)
+    )
+
+
+# Each constructor, and the direct gate it stands for, over a qubit tuple
+# whose first entry is the target and whose rest are the controls.
+CONSTRUCTORS = {
+    "x": (lambda c, q: c.x(q[0]), lambda q: Gate("X", q[:1])),
+    "h": (lambda c, q: c.h(q[0]), lambda q: Gate("H", q[:1])),
+    "cnot": (lambda c, q: c.cnot(q[1], q[0]), lambda q: Gate("CNOT", q[:1], q[1:2])),
+    "toffoli": (
+        lambda c, q: c.toffoli(q[1], q[2], q[0]),
+        lambda q: Gate("TOFFOLI", q[:1], q[1:3]),
+    ),
+    "mcx0": (lambda c, q: c.mcx([], q[0]), lambda q: Gate("MCX", q[:1])),
+    "mcx1": (lambda c, q: c.mcx(list(q[1:2]), q[0]), lambda q: Gate("CNOT", q[:1], q[1:2])),
+    "mcx2": (
+        lambda c, q: c.mcx(list(q[1:3]), q[0]),
+        lambda q: Gate("TOFFOLI", q[:1], q[1:3]),
+    ),
+    "mcx3": (lambda c, q: c.mcx(list(q[1:4]), q[0]), lambda q: Gate("MCX", q[:1], q[1:4])),
+    "mcx4": (lambda c, q: c.mcx(list(q[1:5]), q[0]), lambda q: Gate("MCX", q[:1], q[1:5])),
+}
+QUBITS = {
+    "valid": (4, 0, 1, 2, 3),
+    "duplicate-target": (1, 1, 0, 2, 3),
+    "duplicate-control": (0, 1, 1, 2, 3),
+    "duplicate-late": (4, 0, 1, 2, 2),
+    "negative-target": (-1, 0, 1, 2, 3),
+    "negative-control": (4, 0, -2, 1, 2),
+    "out-of-range-target": (5, 0, 1, 2, 3),
+    "out-of-range-control": (4, 0, 1, 2, 9),
+    "negative-and-out-of-range": (7, -1, 1, 2, 3),
+    "duplicate-and-out-of-range": (6, 6, 1, 2, 3),
+}
+
+
+def _outcome(add):
+    """The gates ``add`` leaves on a 5-qubit circuit, or its error."""
+    circ = Circuit(5)
+    circ.x(0)
+    try:
+        add(circ)
+    except (RegisterMismatch, ValueError) as exc:
+        assert circ.gates == [Gate("X", (0,))]  # a failed gate leaves no trace
+        return type(exc), str(exc)
+    return circ.gates
+
+
+@pytest.mark.parametrize("qubits", QUBITS.values(), ids=QUBITS.keys())
+@pytest.mark.parametrize("kind", CONSTRUCTORS)
+def test_constructors_agree_with_direct_gates(kind, qubits):
+    construct, direct = CONSTRUCTORS[kind]
+    built = _outcome(lambda c: construct(c, qubits))
+    assert built == _outcome(lambda c: c.append(direct(qubits)))

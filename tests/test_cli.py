@@ -177,22 +177,30 @@ def test_verify_over_the_qubit_cap_exits_3(tmp_path, args, cap):
     assert proc.stdout == ""
 
 
-def _limit_address_space():
-    """Cap the child at 2 GB of address space, so a huge array fails at once."""
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+def _limit_address_space(limit):
+    """preexec_fn capping the child's address space at ``limit`` bytes."""
+
+    def apply():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return apply
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, limit",
     [
-        ["gms", "--m", "2", "--n", "6", "--l", "4"],
-        ["verify", "deferred", "--n", "6", "--l", "8"],
+        # one array the 2 GB cannot hold, asked for at once
+        (["gms", "--m", "2", "--n", "6", "--l", "4"], 2 << 30),
+        (["verify", "deferred", "--n", "6", "--l", "8"], 2 << 30),
+        # millions of gates, whose lists outgrow 200 MB within seconds
+        (["synth", "qge", "--n", "200"], 200 << 20),
     ],
-    ids=["gms", "deferred"],
+    ids=["gms", "deferred", "synth"],
 )
-def test_failed_allocation_under_a_raised_cap_exits_3(tmp_path, args):
-    """A state the cap allows but the host cannot allocate exits 3, not 1."""
-    proc = run_cli(args, tmp_path, {"QGMS_QUBIT_CAP": "62"}, _limit_address_space)
+def test_failed_allocation_under_a_raised_cap_exits_3(tmp_path, args, limit):
+    """What the cap allows but the host cannot allocate exits 3, not 1."""
+    env = {"QGMS_QUBIT_CAP": "62"}
+    proc = run_cli(args, tmp_path, env, _limit_address_space(limit))
     assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr

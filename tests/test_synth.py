@@ -23,6 +23,7 @@ from qgms.gf2 import (
 from qgms.sim import extract_bits, run, run_basis
 from qgms.synth import (
     Synthesis,
+    _Builder,
     expanded_cnot,
     gauss_closed_form,
     gauss_solve_circuit,
@@ -214,3 +215,11 @@ def test_rref_circuit_on_superposition_keeps_ancillas_dirty():
     state = run(prep)
     anc = list(range(4, circ.qubit_count))
     assert state.reduced_purity(anc) < 1 - 1e-6
+
+
+def test_mirror_rejects_a_body_that_keeps_a_pool_qubit():
+    # A raise, not an assert, so the check also holds under python -O.
+    bld = _Builder(Circuit(2))
+    with pytest.raises(RuntimeError, match="body kept a pool qubit"):
+        with bld.mirrored(lambda: bld.circ.cnot(0, 1)):
+            bld.pool_alloc()
