@@ -64,6 +64,7 @@ class GmsConfig:
     l: int
     oracle: FxOracle
     t: int = 20
+    """Read by nothing in the package (``t_max`` sets the count); perfbench passes it."""
     c_check: int = 2
 
     def __post_init__(self):
@@ -185,30 +186,28 @@ def _accept_table(cfg: GmsConfig) -> np.ndarray:
     return accept
 
 
-def _data_fields(cfg: GmsConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Key value and packed y rows of every data-space index."""
+def _masks(cfg: GmsConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flip, success and rank-only masks of the data space, from one field split.
+
+    Rank-only: correct key and rank-(n-1) rows, without the plaintext filter.
+    """
     key, ys, _ = cfg.layout()
     idx = np.arange(1 << cfg.data_qubits)
-    return sim.extract_bits(idx, key), sim.extract_bits(idx, [q for y in ys for q in y])
+    kp = sim.extract_bits(idx, key)
+    ybits = sim.extract_bits(idx, [q for y in ys for q in y])
+    correct = kp == cfg.oracle.key
+    flip = _accept_table(cfg)[kp, ybits]
+    return flip, flip & correct, (_kernel_vector(cfg.n, cfg.l) != 0)[ybits] & correct
 
 
 def classifier_mask(cfg: GmsConfig) -> np.ndarray:
     """Data-space states the phase oracle flips (any key value)."""
-    kp, ybits = _data_fields(cfg)
-    return _accept_table(cfg)[kp, ybits]
+    return _masks(cfg)[0]
 
 
 def success_mask(cfg: GmsConfig) -> np.ndarray:
     """Data-space states counted as success: correct key and accepted rows."""
-    kp, _ = _data_fields(cfg)
-    return classifier_mask(cfg) & (kp == cfg.oracle.key)
-
-
-def rank_only_mask(cfg: GmsConfig) -> np.ndarray:
-    """Correct key and rank-(n-1) rows, without the plaintext filter."""
-    rank_ok = _kernel_vector(cfg.n, cfg.l) != 0
-    kp, ybits = _data_fields(cfg)
-    return rank_ok[ybits] & (kp == cfg.oracle.key)
+    return _masks(cfg)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +309,6 @@ def _check_round(
         RuntimeError: naming the first slice that does something else.
     """
     accept = circ.registers["accept"][0]
-    data = np.arange(1 << cfg.data_qubits, dtype=np.int64)
-    lo, hi = slices["compute"]
-    out = sim.run_basis_batch(circ.gates[lo:hi], circ.oracles, data)
-    if not np.array_equal((out >> accept) & 1 == 1, flip):
-        raise RuntimeError("accept qubit disagrees with the classifier mask")
-    lo, hi = slices["uncompute"]
-    if not np.array_equal(sim.run_basis_batch(circ.gates[lo:hi], circ.oracles, out), data):
-        raise RuntimeError("scratch register failed to uncompute")
     lo, hi = slices["phase"]
     z = [Gate("H", (accept,)), Gate("X", (accept,)), Gate("H", (accept,))]
     if circ.gates[lo:hi] != z:
@@ -329,9 +320,30 @@ def _check_round(
     got = sim.run(diffusion, state=sim.StateVector(cfg.data_qubits, amps)).amps
     if np.max(np.abs(got - (amps - 2.0 * amps.mean()))) > 1e-12:
         raise RuntimeError("diffusion slice is not the reflection about the mean")
+    # run last, so that the diffusion check (the memory peak) runs without these arrays
+    data = np.arange(1 << cfg.data_qubits, dtype=np.int64)
+    lo, hi = slices["compute"]
+    out = sim.run_basis_batch(circ.gates[lo:hi], circ.oracles, data)
+    if not np.array_equal((out >> accept) & 1 == 1, flip):
+        raise RuntimeError("accept qubit disagrees with the classifier mask")
+    lo, hi = slices["uncompute"]
+    if not np.array_equal(sim.run_basis_batch(circ.gates[lo:hi], circ.oracles, out), data):
+        raise RuntimeError("scratch register failed to uncompute")
 
 
-def run_gms(cfg: GmsConfig, t_max: int | None = None) -> list[float]:
+def _search(cfg: GmsConfig, amps: np.ndarray, flip, success, t_max: int) -> list[float]:
+    """Prove one round, then apply it t_max times to ``amps``, which it negates in place."""
+    circ, slices = build_gms_circuit(cfg)
+    _check_round(cfg, circ, slices, flip, amps)
+    curve = [float(np.sum(np.abs(amps[success]) ** 2))]
+    for _ in range(t_max):
+        amps[flip] *= -1.0
+        amps = 2.0 * amps.mean() - amps
+        curve.append(float(np.sum(np.abs(amps[success]) ** 2)))
+    return curve
+
+
+def run_gms(cfg: GmsConfig, t_max: int) -> list[float]:
     """Exact success probability of the deferred-measurement search.
 
     Returns the probability of measuring the correct key together with
@@ -343,21 +355,12 @@ def run_gms(cfg: GmsConfig, t_max: int | None = None) -> list[float]:
     data-register mean, then applies that operator directly.
     ``run_gms_per_gate`` is the reference it is tested against.
     """
-    _check_cap(cfg.m, cfg.n, cfg.l)
-    circ, slices = build_gms_circuit(cfg)
-    success = success_mask(cfg)
     amps = prepare_initial_state(cfg).amps
-    flip = classifier_mask(cfg)
-    _check_round(cfg, circ, slices, flip, amps)
-    curve = [float(np.sum(np.abs(amps[success]) ** 2))]
-    for _ in range(cfg.t if t_max is None else t_max):
-        amps[flip] *= -1.0
-        amps = 2.0 * amps.mean() - amps
-        curve.append(float(np.sum(np.abs(amps[success]) ** 2)))
-    return curve
+    flip, success, _ = _masks(cfg)
+    return _search(cfg, amps, flip, success, t_max)
 
 
-def run_gms_per_gate(cfg: GmsConfig, t_max: int | None = None) -> list[float]:
+def run_gms_per_gate(cfg: GmsConfig, t_max: int) -> list[float]:
     """The ``run_gms`` curve from ``build_gms_circuit`` run gate by gate.
 
     The sparse engine runs it: the pooled scratch qubits take the circuit
@@ -387,7 +390,7 @@ def run_gms_per_gate(cfg: GmsConfig, t_max: int | None = None) -> list[float]:
     state: dict[int, complex] = {0: 1.0 + 0.0j}
     state = sim.sparse_apply(state, circ.gates[lo:hi], circ.oracles)
     curve = [marked_mass(state)]
-    for _ in range(cfg.t if t_max is None else t_max):
+    for _ in range(t_max):
         state = sim.sparse_apply(state, circ.gates[round_lo:round_hi], circ.oracles)
         curve.append(marked_mass(state))
     return curve
@@ -424,16 +427,14 @@ class AmplitudeStats:
         }
 
 
-def amplitude_stats(state, marked) -> AmplitudeStats:
+def amplitude_stats(amps: np.ndarray, marked: np.ndarray) -> AmplitudeStats:
     """Exact amplitude statistics over the full basis.
 
-    state may be a StateVector or a plain amplitude array; marked is a
-    boolean mask of the same size. Basis states with zero amplitude count
-    toward the means and the variance: the statistics describe the whole
-    space the diffusion acts on, not only the populated part.
+    amps is the amplitude array; marked is a boolean mask of the same
+    size. Basis states with zero amplitude count toward the means and the
+    variance: the statistics describe the whole space the diffusion acts
+    on, not only the populated part.
     """
-    amps = state.amps if isinstance(state, sim.StateVector) else np.asarray(state)
-    marked = np.asarray(marked, dtype=bool)
     if amps.shape != marked.shape:
         raise ValueError("state and mask sizes disagree")
     n_states = amps.size
@@ -771,13 +772,18 @@ def hybrid_baseline(cfg: GmsConfig, reps: int = 4) -> HybridReport:
 # Report assembly
 
 
-def analysis_report(cfg: GmsConfig, t_max: int | None = None) -> dict:
-    """Everything the command-line report needs, as one JSON-ready dict."""
-    curve = run_gms(cfg, t_max=t_max)
-    state = prepare_initial_state(cfg)
-    stats = amplitude_stats(state, success_mask(cfg))
-    accept_stats = amplitude_stats(state, classifier_mask(cfg))
-    rank_stats = amplitude_stats(state, rank_only_mask(cfg))
+def analysis_report(cfg: GmsConfig, t_max: int) -> dict:
+    """Everything the command-line report needs, as one JSON-ready dict.
+
+    It prepares the state and splits the masks once, and takes the statistics
+    before the search, which negates the prepared amplitudes in place.
+    """
+    amps = prepare_initial_state(cfg).amps
+    flip, success, rank_only = _masks(cfg)
+    stats = amplitude_stats(amps, success)
+    accept_stats = amplitude_stats(amps, flip)
+    rank_stats = amplitude_stats(amps, rank_only)
+    curve = _search(cfg, amps, flip, success, t_max)
     ideal = two_to_one_model(cfg.m, cfg.n, cfg.l)
     report_warnings: list[str] = []
     try:
@@ -792,7 +798,7 @@ def analysis_report(cfg: GmsConfig, t_max: int | None = None) -> dict:
         report_warnings.append(str(exc))
     hybrid = hybrid_baseline(cfg)
     counts = count_rank_n_minus_1(cfg.n)
-    report = {
+    return {
         "schema": 1,
         "config": {
             "m": cfg.m,
@@ -818,4 +824,3 @@ def analysis_report(cfg: GmsConfig, t_max: int | None = None) -> dict:
         "hybrid": asdict(hybrid),
         "warnings": report_warnings,
     }
-    return report

@@ -160,7 +160,7 @@ def cmd_gms(args: argparse.Namespace) -> int:
         _check_cap(args.m, args.n, args.l)
         try:
             fx = build_fx_oracle(args.m, args.n, key, k1, k2, cipher_seed=args.seed)
-            cfg = GmsConfig(args.m, args.n, args.l, fx, t=args.t_max)
+            cfg = GmsConfig(args.m, args.n, args.l, fx)
         except (ValueError, ZeroWhiteningKey) as exc:
             return _usage_error(str(exc))
         report = analysis_report(cfg, t_max=args.t_max)

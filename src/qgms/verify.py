@@ -31,18 +31,14 @@ from . import sim, synth
 from .amplify import grover_probability, success_curve, uniform_prep
 from .analysis import (
     GmsConfig,
-    amplitude_stats,
+    analysis_report,
     build_gms_circuit,
     character_sum,
     coset_character_sum,
     deferred_vs_immediate,
-    hybrid_baseline,
     optimal_iterations,
-    prepare_initial_state,
     query_ratio,
-    run_gms,
     run_gms_per_gate,
-    success_mask,
 )
 from .counting import count_rank_n_minus_1
 from .gf2 import (
@@ -101,16 +97,12 @@ def reference_config() -> GmsConfig:
 
 
 @lru_cache(maxsize=1)
-def reference_run() -> tuple[GmsConfig, tuple[float, ...], object, object]:
-    """Curve, amplitude statistics and baseline for the reference config.
+def reference_run() -> dict:
+    """The ``gms`` report of the reference config at t_max = 20.
 
     Cached so the command line and the acceptance tests share one run.
     """
-    cfg = reference_config()
-    curve = tuple(run_gms(cfg, t_max=20))
-    stats = amplitude_stats(prepare_initial_state(cfg), success_mask(cfg))
-    hyb = hybrid_baseline(cfg)
-    return cfg, curve, stats, hyb
+    return analysis_report(reference_config(), t_max=20)
 
 
 def _all_matrices(n: int):
@@ -409,17 +401,19 @@ def suite_gms() -> SuiteResult:
             ok = False
     res.add("iteration_estimate_matches_argmax", ok, "; ".join(details))
 
-    cfg, curve, stats, hyb = reference_run()
+    report = reference_run()
+    curve = [p for _, p in report["t_curve"]]
     peak = max(curve)
-    gap_ok = peak < 0.5 and peak < stats.p_max + 1e-8 and hyb.success >= 0.9
+    p_max, baseline = report["p_max"], report["hybrid"]["success"]
+    gap_ok = peak < 0.5 and peak < p_max + 1e-8 and baseline >= 0.9
     res.add(
         "reference_gap",
         gap_ok,
-        f"deferred peak {peak:.6f} vs ceiling {stats.p_max:.6f}; "
-        f"immediate baseline {hyb.success:.3f}",
+        f"deferred peak {peak:.6f} vs ceiling {p_max:.6f}; "
+        f"immediate baseline {baseline:.3f}",
     )
 
-    per_gate = run_gms_per_gate(cfg, t_max=3)
+    per_gate = run_gms_per_gate(reference_config(), t_max=3)
     drift = max(abs(a - b) for a, b in zip(curve, per_gate))
     res.add(
         "operator_matches_per_gate",

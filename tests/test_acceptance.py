@@ -43,8 +43,8 @@ def circuits_suite():
 @pytest.fixture(scope="module")
 def reference():
     t0 = time.monotonic()
-    cfg, curve, stats, hyb = verify.reference_run()
-    return cfg, curve, stats, hyb, time.monotonic() - t0
+    report = verify.reference_run()
+    return report, time.monotonic() - t0
 
 
 def test_solver_circuits_match_classical_elimination(circuits_suite):
@@ -143,12 +143,13 @@ def test_deferred_search_stays_below_immediate_baseline(reference):
     # search never beats its amplitude ceiling or reaches 0.5 within 20
     # iterations, while measuring each round immediately and finishing
     # classically succeeds with probability at least 0.9; under 2 minutes
-    cfg, curve, stats, hyb, elapsed = reference
+    report, elapsed = reference
+    curve = [p for _, p in report["t_curve"]]
     assert len(curve) == 21
     assert max(curve) < 0.5
-    assert max(curve) < stats.p_max + 1e-8
+    assert max(curve) < report["p_max"] + 1e-8
     assert all(p < 0.5 for p in curve)
-    assert hyb.success >= 0.9
+    assert report["hybrid"]["success"] >= 0.9
     assert elapsed < 120.0
 
 

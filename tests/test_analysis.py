@@ -23,7 +23,6 @@ from qgms.analysis import (
     optimal_iterations,
     prepare_initial_state,
     query_ratio,
-    rank_only_mask,
     required_qubits,
     run_gms,
     run_gms_per_gate,
@@ -197,7 +196,7 @@ def test_masks_at_fixture():
     # correct key times 9 rank-1 row pairs times 16 free f contents
     assert int(succ.sum()) == 144
     assert int(classifier_mask(cfg).sum()) == 144
-    assert int(rank_only_mask(cfg).sum()) == 144
+    assert int(analysis._masks(cfg)[2].sum()) == 144
     kp = np.arange(succ.size) & 3
     assert not np.any(succ & (kp != cfg.oracle.key))
 
@@ -218,7 +217,7 @@ def test_curve_starts_at_initial_marked_mass():
 def test_curve_respects_ceiling_and_stays_low():
     cfg = fixture_cfg()
     state = prepare_initial_state(cfg)
-    stats = amplitude_stats(state, success_mask(cfg))
+    stats = amplitude_stats(state.amps, success_mask(cfg))
     curve = run_gms(cfg, t_max=6)
     assert max(curve) < 0.5
     assert max(curve) < stats.p_max + 1e-8
@@ -234,16 +233,18 @@ def test_engines_agree():
 
 
 def test_round_proof_rejects_a_wrong_accept_bit(monkeypatch):
-    real = analysis.classifier_mask
+    real = analysis._accept_table
 
     def one_entry_flipped(cfg):
-        mask = real(cfg).copy()
-        mask[0] = not mask[0]
-        return mask
+        accept = real(cfg).copy()
+        accept[0, 0] = not accept[0, 0]
+        return accept
 
-    monkeypatch.setattr(analysis, "classifier_mask", one_entry_flipped)
-    with pytest.raises(RuntimeError, match="classifier mask"):
-        run_gms(fixture_cfg(), t_max=1)
+    monkeypatch.setattr(analysis, "_accept_table", one_entry_flipped)
+    # run_gms, and analysis_report, the path ``qgms gms`` takes
+    for run in (run_gms, analysis_report):
+        with pytest.raises(RuntimeError, match="classifier mask"):
+            run(fixture_cfg(), t_max=1)
 
 
 @pytest.mark.parametrize(
@@ -325,7 +326,7 @@ def test_stats_identity_decomposition():
     cfg = fixture_cfg()
     state = prepare_initial_state(cfg)
     mask = success_mask(cfg)
-    stats = amplitude_stats(state, mask)
+    stats = amplitude_stats(state.amps, mask)
     l_amps = state.amps[~mask]
     alt = 1.0 - float(np.sum(np.abs(l_amps) ** 2)) + abs(np.sum(l_amps)) ** 2 / (
         stats.n_states - stats.marked
@@ -335,7 +336,7 @@ def test_stats_identity_decomposition():
 
 def test_stats_exact_values_at_fixture():
     cfg = fixture_cfg()
-    stats = amplitude_stats(prepare_initial_state(cfg), success_mask(cfg))
+    stats = amplitude_stats(prepare_initial_state(cfg).amps, success_mask(cfg))
     assert stats.n_states == 1024
     assert stats.marked == 144
     assert stats.k0_mean == pytest.approx(0.0, abs=1e-14)
@@ -363,7 +364,7 @@ def test_ceiling_decreases_with_key_width():
     for m in (1, 2, 3):
         fx = build_fx_oracle(m, 2, 0, 3, 1, cipher_seed=72)
         cfg = GmsConfig(m, 2, 1, fx)
-        stats = amplitude_stats(prepare_initial_state(cfg), success_mask(cfg))
+        stats = amplitude_stats(prepare_initial_state(cfg).amps, success_mask(cfg))
         assert 0.0 <= stats.p_max <= 1.0
         values.append(stats.p_max)
     assert values[0] > values[1] > values[2]
@@ -547,3 +548,51 @@ def test_report_schema_and_determinism():
     assert rep["counts"]["agreement"] is True
     again = analysis_report(cfg, t_max=3)
     assert json.dumps(rep, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [fixture_cfg(), GmsConfig(1, 3, 2, build_fx_oracle(1, 3, 0, 3, 1, cipher_seed=5), c_check=1)],
+    ids=["fixture", "c_check=1"],
+)
+def test_report_prepares_once_and_equals_the_pieces(monkeypatch, cfg):
+    calls = {"prepare_initial_state": 0, "_masks": 0}
+    for name in calls:
+        real = getattr(analysis, name)
+
+        def counted(cfg, name=name, real=real):
+            calls[name] += 1
+            return real(cfg)
+
+        monkeypatch.setattr(analysis, name, counted)
+    # the statistics must see the prepared state, not one the search negated
+    seen = []
+
+    def recorded(amps, marked):
+        seen.append(amps.copy())
+        return amplitude_stats(amps, marked)
+
+    monkeypatch.setattr(analysis, "amplitude_stats", recorded)
+    rep = analysis_report(cfg, t_max=3)
+    assert calls == {"prepare_initial_state": 1, "_masks": 1}
+    monkeypatch.undo()
+
+    amps = prepare_initial_state(cfg).amps
+    assert len(seen) == 3 and all(np.array_equal(a, amps) for a in seen)
+    key, ys, _ = cfg.layout()
+    idx = np.arange(amps.size)
+    ybits = sim.extract_bits(idx, [q for y in ys for q in y])
+    correct = sim.extract_bits(idx, key) == cfg.oracle.key
+    rank_only = (analysis._kernel_vector(cfg.n, cfg.l) != 0)[ybits] & correct
+    accept = amplitude_stats(amps, classifier_mask(cfg))
+    rank = amplitude_stats(amps, rank_only)
+    pieces = {
+        **amplitude_stats(amps, success_mask(cfg)).as_dict(),
+        "t_curve": [[t, p] for t, p in enumerate(run_gms(cfg, t_max=3))],
+        "r_phase_marked": accept.marked,
+        "p_max_phase_marked": accept.p_max,
+        "r_rank_only": rank.marked,
+        "p_max_rank_only": rank.p_max,
+    }
+    # compared as JSON text: every float bit for bit, and the sign of zero
+    assert json.dumps({k: rep[k] for k in pieces}) == json.dumps(pieces)

@@ -34,8 +34,7 @@ def test_reference_run_is_cached():
     first = verify.reference_run()
     second = verify.reference_run()
     assert first is second
-    cfg, curve, stats, hyb = first
-    assert len(curve) == 21
+    assert len(first["t_curve"]) == 21
 
 
 def test_gms_suite_cross_checks_operator_against_per_gate_engine():
