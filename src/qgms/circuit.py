@@ -30,8 +30,6 @@ class RegisterMismatch(Exception):
 # Gate kinds with fixed shapes, each its own inverse; ORACLE is the only
 # named kind.
 _KINDS = {"X", "H", "CNOT", "TOFFOLI", "MCX", "ORACLE"}
-# Circuit's constructors build checked gates without Gate.__post_init__.
-_new_gate, _set_field = object.__new__, object.__setattr__
 
 TOFFOLI_T_DEPTH = 7
 TOFFOLI_CNOT_COUNT = 6
@@ -91,6 +89,21 @@ class Gate:
         return self.targets + self.controls
 
 
+# Circuit's constructors fill a checked gate's slots through their descriptors.
+_set_kind, _set_targets, _set_controls, _set_name = (
+    Gate.__dict__[f].__set__ for f in ("kind", "targets", "controls", "name")
+)
+
+
+def _valid_gate(kind: str, targets: tuple[int, ...], controls: tuple[int, ...]) -> Gate:
+    gate = object.__new__(Gate)
+    _set_kind(gate, kind)
+    _set_targets(gate, targets)
+    _set_controls(gate, controls)
+    _set_name(gate, None)
+    return gate
+
+
 @dataclass
 class ResourceProfile:
     """Clifford+T cost estimate for one circuit.
@@ -142,42 +155,44 @@ class Circuit:
             self.append(g)
 
     # Constructors for each kind. A gate built directly checks its kind, shape
-    # and qubits; a constructor fixes the kind and shape, so it checks only the
+    # and qubits; a constructor fixes the kind and shape and compares only the
     # qubits, and a gate that fails them takes the full path, which raises.
-    def _add(self, kind: str, targets: tuple[int, ...], controls: tuple[int, ...]) -> None:
-        qubits = targets + controls
-        if len(set(qubits)) < len(qubits) or min(qubits) < 0 or max(qubits) >= self.qubit_count:
-            self.append(Gate(kind, targets, controls))
-            return
-        gate = _new_gate(Gate)
-        _set_field(gate, "kind", kind)
-        _set_field(gate, "targets", targets)
-        _set_field(gate, "controls", controls)
-        _set_field(gate, "name", None)
-        self.gates.append(gate)
-
     def x(self, q: int) -> None:
-        self._add("X", (q,), ())
+        if 0 <= q < self.qubit_count:
+            self.gates.append(_valid_gate("X", (q,), ()))
+        else:
+            self.append(Gate("X", (q,)))
 
     def h(self, q: int) -> None:
-        self._add("H", (q,), ())
+        if 0 <= q < self.qubit_count:
+            self.gates.append(_valid_gate("H", (q,), ()))
+        else:
+            self.append(Gate("H", (q,)))
 
     def cnot(self, control: int, target: int) -> None:
-        self._add("CNOT", (target,), (control,))
+        if 0 <= control < self.qubit_count and 0 <= target < self.qubit_count and control != target:
+            self.gates.append(_valid_gate("CNOT", (target,), (control,)))
+        else:
+            self.append(Gate("CNOT", (target,), (control,)))
 
     def toffoli(self, c1: int, c2: int, target: int) -> None:
-        self._add("TOFFOLI", (target,), (c1, c2))
+        n = self.qubit_count
+        if 0 <= c1 < n and 0 <= c2 < n and 0 <= target < n and c1 != c2 != target != c1:
+            self.gates.append(_valid_gate("TOFFOLI", (target,), (c1, c2)))
+        else:
+            self.append(Gate("TOFFOLI", (target,), (c1, c2)))
 
     def mcx(self, controls: list[int], target: int) -> None:
         """Multi-controlled X. Two controls lower to a plain Toffoli."""
+        qubits, n = (target, *controls), self.qubit_count
         if len(controls) == 1:
             self.cnot(controls[0], target)
         elif len(controls) == 2:
             self.toffoli(controls[0], controls[1], target)
-        elif controls:
-            self._add("MCX", (target,), tuple(controls))
+        elif controls and len(set(qubits)) == len(qubits) and 0 <= min(qubits) and max(qubits) < n:
+            self.gates.append(_valid_gate("MCX", (target,), tuple(controls)))
         else:
-            self.append(Gate("MCX", (target,), ()))  # raises: no controls
+            self.append(Gate("MCX", (target,), tuple(controls)))
 
     def oracle_block(
         self, name: str, fn: object, ins: list[int], outs: list[int]

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from qgms.circuit import Circuit, Gate, RegisterMismatch, resource_profile
+from qgms.synth import gauss_solve_circuit, jordan_solve_circuit, kernel_circuit, rref_circuit
 
 
 def test_gate_shape_validation():
@@ -162,9 +163,9 @@ QUBITS = {
 }
 
 
-def _outcome(add):
-    """The gates ``add`` leaves on a 5-qubit circuit, or its error."""
-    circ = Circuit(5)
+def _outcome(add, width=5):
+    """The gates ``add`` leaves on a ``width``-qubit circuit, or its error."""
+    circ = Circuit(width)
     circ.x(0)
     try:
         add(circ)
@@ -180,3 +181,65 @@ def test_constructors_agree_with_direct_gates(kind, qubits):
     construct, direct = CONSTRUCTORS[kind]
     built = _outcome(lambda c: construct(c, qubits))
     assert built == _outcome(lambda c: c.append(direct(qubits)))
+
+
+# The table's constructors plus mcx at five controls, with the qubits each
+# reads from the front of its tuple.
+RANDOM_CONSTRUCTORS = {
+    **CONSTRUCTORS,
+    "mcx5": (lambda c, q: c.mcx(list(q[1:6]), q[0]), lambda q: Gate("MCX", q[:1], q[1:6])),
+}
+ARITY = {"x": 1, "h": 1, "cnot": 2, "toffoli": 3, **{f"mcx{k}": k + 1 for k in range(6)}}
+
+
+def test_constructors_agree_with_direct_gates_at_random_widths():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        kind = draw(st.sampled_from(sorted(RANDOM_CONSTRUCTORS)))
+        width = draw(st.integers(1, 8))
+        qubits = draw(st.tuples(*[st.integers(-2, width + 1)] * ARITY[kind]))
+        return kind, width, qubits
+
+    seen = set()
+
+    @settings(max_examples=600, deadline=None)
+    @given(cases())
+    def check(case):
+        kind, width, qubits = case
+        construct, direct = RANDOM_CONSTRUCTORS[kind]
+        built = _outcome(lambda c: construct(c, qubits), width)
+        assert built == _outcome(lambda c: c.append(direct(qubits)), width)
+        edges = {-1: "-1", width - 1: "width-1", width: "width"}
+        seen.update([kind, "raises" if isinstance(built, tuple) else "appends"])
+        seen.update(edges[q] for q in qubits if q in edges)
+        if len(set(qubits)) < len(qubits):
+            seen.add("duplicate")
+
+    check()
+    # The draws reached every kind, -1 (just below the range), width - 1 and
+    # width (either side of its top), repeated qubits, and both outcomes.
+    assert seen >= {*RANDOM_CONSTRUCTORS, "-1", "width-1", "width", "duplicate", "raises", "appends"}
+
+
+def test_solver_gates_take_the_fast_path(monkeypatch):
+    # A constructor builds a gate whose qubits pass its comparisons without
+    # Gate.__post_init__; only a failing gate takes the full path.
+    calls = []
+    post_init = Gate.__post_init__
+    monkeypatch.setattr(Gate, "__post_init__", lambda self: calls.append(self) or post_init(self))
+    circuits = [
+        gauss_solve_circuit(8).circuit,
+        jordan_solve_circuit(8).circuit,
+        rref_circuit(3, 3),
+        kernel_circuit(2, 2),
+    ]
+    assert calls == []
+    monkeypatch.undo()
+    for circ in circuits:
+        for g in circ.gates:
+            assert g == Gate(g.kind, g.targets, g.controls, g.name)
+            circ._check(g)
