@@ -12,9 +12,9 @@ The package has three layers:
   command line exposes.
 
 The root exports only ``__version__``; import the submodules
-(``from qgms import gf2``). ``circuit``, ``gf2``, ``synth`` and ``cli``
-import without numpy, so ``import qgms`` and ``qgms synth`` never load
-it; the other modules, and the ``verify`` and ``gms`` commands, do.
+(``from qgms import gf2``). ``circuit``, ``gf2``, ``synth``, ``verify`` and
+``cli`` import without numpy, so ``import qgms``, ``qgms synth`` and ``qgms
+verify gf2`` never load it; the other modules, suites and commands do.
 """
 
 __version__ = "0.1.0"

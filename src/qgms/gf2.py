@@ -53,11 +53,6 @@ class BitVector:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def __xor__(self, other: BitVector) -> BitVector:
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.bits ^ other.bits)
-
 
 @dataclass
 class BitMatrix:
@@ -83,37 +78,10 @@ class BitMatrix:
         if any(r & ~mask for r in self.row_bits):
             raise ValueError("row bits exceed declared width")
 
-    @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> BitMatrix:
-        if not rows:
-            return cls(0, 0, [])
-        cols = len(rows[0])
-        if any(len(r) != cols for r in rows):
-            raise ValueError("ragged rows")
-        packed = []
-        for r in rows:
-            bits = 0
-            for j, e in enumerate(r):
-                if e & 1:
-                    bits |= 1 << j
-            packed.append(bits)
-        return cls(len(rows), cols, packed)
-
-    def to_rows(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.row_bits]
-
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
         return (self.row_bits[i] >> j) & 1
-
-    def set(self, i: int, j: int, value: int) -> None:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        if value & 1:
-            self.row_bits[i] |= 1 << j
-        else:
-            self.row_bits[i] &= ~(1 << j)
 
     def copy(self) -> BitMatrix:
         return BitMatrix(self.rows, self.cols, list(self.row_bits))

@@ -131,25 +131,6 @@ def _permutation_family(m: int, n: int, seed: int) -> tuple[tuple[int, ...], ...
     )
 
 
-# ---------------------------------------------------------------------------
-# Oracle diagnostics (used by tests and seed selection)
-
-
-def is_two_to_one(table: list[int] | tuple[int, ...]) -> bool:
-    from collections import Counter
-
-    return all(c == 2 for c in Counter(table).values())
-
-
-def periods_of(table: list[int] | tuple[int, ...], n: int) -> list[int]:
-    """All nonzero p with f(x) = f(x xor p) for every x."""
-    return [
-        p
-        for p in range(1, 1 << n)
-        if all(table[x] == table[x ^ p] for x in range(1 << n))
-    ]
-
-
 def y_marginal(table: list[int] | tuple[int, ...], n: int) -> list[float]:
     """Exact y-register distribution of one H / query / H round over f.
 

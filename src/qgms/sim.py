@@ -36,7 +36,7 @@ one gate of the set that does not permute basis states:
   norm check of ``verify`` runs its 100 random states through one plan,
   ten columns at a time. Memory is 2^q complex doubles per column, so a
   configurable qubit cap guards against accidental blowups.
-* ``run_sparse`` keeps a dict of nonzero amplitudes. A permutation run
+* ``sparse_apply`` keeps a dict of nonzero amplitudes. A permutation run
   relabels its keys in one kernel call and keeps the dict's order.
   Circuits whose support stays polynomial (few Hadamards, mostly
   permutation gates) run far beyond the dense cap, at any width; the
@@ -94,45 +94,13 @@ class StateVector:
     qubit_count: int
     amps: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-    def probability(self, bits: int) -> float:
-        return float(abs(self.amps[bits]) ** 2)
-
-    def marginal(self, qubits: list[int]) -> np.ndarray:
-        """Probabilities of the listed qubits, traced over the rest.
-
-        Index b of the result packs qubits[j] into bit j.
-        """
-        probs = self.probabilities()
-        key = extract_bits(np.arange(1 << self.qubit_count), qubits)
-        out = np.zeros(1 << len(qubits))
-        np.add.at(out, key, probs)
-        return out
-
-    def reduced_purity(self, qubits: list[int]) -> float:
-        """Tr(rho^2) of the reduced state on ``qubits``."""
-        keep = list(qubits)
-        rest = [q for q in range(self.qubit_count) if q not in keep]
-        # Rearrange amplitudes into a (kept, rest) matrix.
-        idx = np.arange(1 << self.qubit_count)
-        row, col = extract_bits(idx, keep), extract_bits(idx, rest)
-        m = np.zeros((1 << len(keep), 1 << len(rest)), dtype=np.complex128)
-        m[row, col] = self.amps
-        rho = m @ m.conj().T
-        return float(np.real(np.trace(rho @ rho)))
-
-
-def run(circ: Circuit, initial: int = 0, state: StateVector | None = None) -> StateVector:
+def run(circ: Circuit, state: StateVector | None = None) -> StateVector:
     """Dense simulation of the full circuit.
 
-    Starts from basis state ``initial`` unless ``state`` supplies a full
-    input StateVector (which must match the circuit width). The input
-    state is not modified.
+    Starts from basis state 0 unless ``state`` supplies a full input
+    StateVector (which must match the circuit width). The input state is
+    not modified.
 
     Raises:
         QubitCapExceeded: if the circuit is wider than the cap allows.
@@ -145,7 +113,7 @@ def run(circ: Circuit, initial: int = 0, state: StateVector | None = None) -> St
         amps = state.amps.copy()
     else:
         amps = np.zeros(1 << q, dtype=np.complex128)
-        amps[initial] = 1.0
+        amps[0] = 1.0
     return StateVector(q, apply_steps(steps, amps))
 
 
@@ -262,18 +230,6 @@ def _dense_apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Sparse engine
-
-
-def run_sparse(circ: Circuit, initial: int = 0) -> dict[int, complex]:
-    """Sparse simulation as a dict of nonzero amplitudes.
-
-    Amplitudes of magnitude at most ``_PRUNE`` (1e-13) are dropped after
-    each Hadamard, where cancellation leaves residues of about 1e-17.
-    Permutation gates only relabel existing entries, so support never
-    grows through them and never exceeds twice its pre-Hadamard size
-    overall.
-    """
-    return sparse_apply({initial: 1.0 + 0.0j}, circ.gates, circ.oracles)
 
 
 def sparse_apply(

@@ -14,7 +14,8 @@ Five suites cover the package layer by layer:
 
 Each suite returns a SuiteResult holding named checks with pass flags
 and details, so the command line can print them and the tests can
-assert on them without duplicating the work.
+assert on them without duplicating the work. Each suite imports the
+layers it checks when it runs, so ``verify gf2`` never loads numpy.
 """
 
 from __future__ import annotations
@@ -24,23 +25,9 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import sim, synth
-from .amplify import grover_probability, success_curve, uniform_prep
-from .analysis import (
-    GmsConfig,
-    analysis_report,
-    build_gms_circuit,
-    character_sum,
-    coset_character_sum,
-    deferred_vs_immediate,
-    optimal_iterations,
-    query_ratio,
-    run_gms_per_gate,
-)
-from .counting import count_rank_n_minus_1
+from . import synth
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -53,7 +40,9 @@ from .gf2 import (
     row_space,
     rref,
 )
-from .oracles import build_fx_oracle, build_simon_oracle, parallel_simon_circuit
+
+if TYPE_CHECKING:
+    from .analysis import GmsConfig
 
 REFERENCE = dict(m=2, n=2, key=2, k1=3, k2=1, cipher_seed=72)
 
@@ -93,6 +82,9 @@ class SuiteResult:
 
 def reference_config() -> GmsConfig:
     """The desk-scale configuration every quantitative claim is pinned to."""
+    from .analysis import GmsConfig
+    from .oracles import build_fx_oracle
+
     return GmsConfig(2, 2, 2, build_fx_oracle(**REFERENCE))
 
 
@@ -102,6 +94,8 @@ def reference_run() -> dict:
 
     Cached so the command line and the acceptance tests share one run.
     """
+    from .analysis import analysis_report
+
     return analysis_report(reference_config(), t_max=20)
 
 
@@ -176,11 +170,17 @@ def suite_gf2() -> SuiteResult:
 
 def _truth_table(circ, inputs: list[int]) -> list[int]:
     """Images of every input under a permutation circuit, in one kernel call."""
+    import numpy as np
+
+    from . import sim
+
     out = sim.run_basis_batch(circ.gates, circ.oracles, np.array(inputs, dtype=np.int64))
     return out.tolist()
 
 
 def _solver_equivalence(jordan: bool) -> Check:
+    from . import sim
+
     syn = synth.jordan_solve_circuit(3) if jordan else synth.gauss_solve_circuit(3)
     b_reg = list(syn.circuit.registers["b"])
     cases = [(a, b) for a in _invertible_matrices(3) for b in range(8)]
@@ -220,6 +220,10 @@ def _norm_deviation(circ, count: int, seed: int) -> float:
     """
     if count % _NORM_BLOCK:
         raise ValueError(f"count must be a multiple of {_NORM_BLOCK}, got {count}")
+    import numpy as np
+
+    from . import sim
+
     steps = list(sim.dense_steps(circ))
     size = 1 << circ.qubit_count
     rng = np.random.default_rng(seed)
@@ -239,6 +243,9 @@ def _norm_deviation(circ, count: int, seed: int) -> float:
 
 def _norm_circuits() -> list[tuple[str, object]]:
     """The circuit families of the norm check, each with fixed oracles."""
+    from .analysis import GmsConfig, build_gms_circuit
+    from .oracles import build_fx_oracle, build_simon_oracle, parallel_simon_circuit
+
     fx = build_fx_oracle(1, 2, 0, 3, 1, cipher_seed=72)
     return [
         ("gauss_2", synth.gauss_solve_circuit(2).circuit),
@@ -313,6 +320,8 @@ def suite_circuits() -> SuiteResult:
 
 def suite_counting() -> SuiteResult:
     """Brute-force vs closed-form count of rank n-1 matrices over s-perp."""
+    from .counting import count_rank_n_minus_1
+
     res = SuiteResult("counting")
     pinned = {2: 3, 3: 42, 4: 2520}
     for n in (2, 3, 4, 5):
@@ -338,6 +347,8 @@ def suite_deferred(n: int | None = None, l: int | None = None) -> SuiteResult:
     With no arguments the full (n, l) grid runs; passing n and l checks
     a single shape (every nonzero period either way).
     """
+    from .analysis import deferred_vs_immediate
+
     res = SuiteResult("deferred")
     shapes = DEFERRED_GRID if n is None else ((n, l if l is not None else 2),)
     for nn, ll in shapes:
@@ -365,6 +376,15 @@ def suite_deferred(n: int | None = None, l: int | None = None) -> SuiteResult:
 
 def suite_gms() -> SuiteResult:
     """Distribution-level checks of the combined search analysis."""
+    from .amplify import grover_probability, success_curve, uniform_prep
+    from .analysis import (
+        character_sum,
+        coset_character_sum,
+        optimal_iterations,
+        query_ratio,
+        run_gms_per_gate,
+    )
+
     res = SuiteResult("gms")
 
     ok = True

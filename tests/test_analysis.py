@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from probes import marginal
 
 from qgms import analysis, sim, verify
 from qgms.analysis import (
@@ -64,7 +65,7 @@ def test_config_validation():
 def test_initial_state_key_marginal_uniform():
     cfg = fixture_cfg()
     state = prepare_initial_state(cfg)
-    marg = state.marginal(range(cfg.m))
+    marg = marginal(state, range(cfg.m))
     assert np.allclose(marg, [0.25] * 4, atol=1e-12)
 
 
@@ -75,7 +76,7 @@ def test_initial_state_correct_key_rows_orthogonal_to_period():
     cfg = fixture_cfg()
     state = prepare_initial_state(cfg)
     key, ys, _ = cfg.layout()
-    probs = state.probabilities()
+    probs = np.abs(state.amps) ** 2
     k = cfg.oracle.key
     mass_key = 0.0
     mass_zero_rows = 0.0
@@ -98,7 +99,7 @@ def test_initial_state_wrong_key_rows_uniform_at_fixture_seed():
     cfg = fixture_cfg()
     state = prepare_initial_state(cfg)
     key, ys, _ = cfg.layout()
-    probs = state.probabilities()
+    probs = np.abs(state.amps) ** 2
     for kp in range(4):
         if kp == cfg.oracle.key:
             continue
@@ -122,7 +123,7 @@ def test_initial_state_wrong_key_rows_match_table_formula_any_seed():
     cfg = GmsConfig(2, 2, 2, fx)
     state = prepare_initial_state(cfg)
     _, ys, _ = cfg.layout()
-    probs = state.probabilities()
+    probs = np.abs(state.amps) ** 2
     for kp in range(4):
         per_copy = y_marginal(fx.residual_table(kp), 2)
         joint = {}
@@ -208,7 +209,7 @@ def test_masks_at_fixture():
 def test_curve_starts_at_initial_marked_mass():
     cfg = fixture_cfg()
     state = prepare_initial_state(cfg)
-    expected = float(state.probabilities()[success_mask(cfg)].sum())
+    expected = float((np.abs(state.amps[success_mask(cfg)]) ** 2).sum())
     curve = run_gms(cfg, t_max=0)
     assert curve == [pytest.approx(expected, abs=1e-12)]
     assert expected == pytest.approx(0.0, abs=1e-12)

@@ -252,12 +252,19 @@ loaded["qgms --version"] = "numpy" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     code = qgms.cli.main(["synth", "qge", "--n", "3", "--out", sys.argv[1]])
 loaded["qgms synth qge"] = "numpy" in sys.modules
-print(json.dumps({"code": code, "numpy_loaded": loaded}))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    verify_code = qgms.cli.main(["verify", "gf2"])
+loaded["qgms verify gf2"] = "numpy" in sys.modules
+verify_passed = json.loads(out.getvalue())["passed"]
+print(json.dumps({"code": code, "verify": [verify_code, verify_passed], "numpy_loaded": loaded}))
 """
 
 
 def test_package_root_and_synth_start_without_numpy(tmp_path):
-    """A fresh interpreter, since this one already has numpy loaded."""
+    """``import qgms``, ``--version``, ``synth`` and ``verify gf2`` run
+    without numpy: checked in a fresh interpreter, since this one already
+    has it loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_CHECKPOINTS, str(tmp_path / "o")],
         cwd=tmp_path,
@@ -267,9 +274,11 @@ def test_package_root_and_synth_start_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["code"] == 0
+    assert result["verify"] == [0, True]
     assert result["numpy_loaded"] == {
         "import qgms": False,
         "qgms --version": False,
         "qgms synth qge": False,
+        "qgms verify gf2": False,
     }
     assert (tmp_path / "o" / "qge_n3_circuit.txt").is_file()

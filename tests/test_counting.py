@@ -19,7 +19,7 @@ def slow_count(n, s):
     hyperplane = [x for x in range(1 << n) if bin(x & s).count("1") % 2 == 0]
     hits = 0
     for rows in itertools.product(hyperplane, repeat=n):
-        mat = gf2.BitMatrix.from_rows([[(r >> c) & 1 for c in range(n)] for r in rows])
+        mat = gf2.BitMatrix(n, n, list(rows))
         if gf2.rank(mat) == n - 1:
             hits += 1
     return hits
