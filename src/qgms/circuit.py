@@ -169,16 +169,27 @@ class Circuit:
         else:
             self.append(Gate("H", (q,)))
 
+    # cnot and toffoli, nearly every solver gate, inline _valid_gate's body.
     def cnot(self, control: int, target: int) -> None:
         if 0 <= control < self.qubit_count and 0 <= target < self.qubit_count and control != target:
-            self.gates.append(_valid_gate("CNOT", (target,), (control,)))
+            gate = object.__new__(Gate)
+            _set_kind(gate, "CNOT")
+            _set_targets(gate, (target,))
+            _set_controls(gate, (control,))
+            _set_name(gate, None)
+            self.gates.append(gate)
         else:
             self.append(Gate("CNOT", (target,), (control,)))
 
     def toffoli(self, c1: int, c2: int, target: int) -> None:
         n = self.qubit_count
         if 0 <= c1 < n and 0 <= c2 < n and 0 <= target < n and c1 != c2 != target != c1:
-            self.gates.append(_valid_gate("TOFFOLI", (target,), (c1, c2)))
+            gate = object.__new__(Gate)
+            _set_kind(gate, "TOFFOLI")
+            _set_targets(gate, (target,))
+            _set_controls(gate, (c1, c2))
+            _set_name(gate, None)
+            self.gates.append(gate)
         else:
             self.append(Gate("TOFFOLI", (target,), (c1, c2)))
 
@@ -209,45 +220,49 @@ class Circuit:
         lines = [f"circuit {self.qubit_count}"]
         for name, qubits in self.registers.items():
             lines.append("reg " + name + " " + " ".join(map(str, qubits)))
+        label = [str(q) for q in range(self.qubit_count)]  # each qubit formatted once
         for g in self.gates:
             if g.kind == "TOFFOLI":  # with CNOT, nearly every solver gate
                 c1, c2 = g.controls
-                line = f"TOFFOLI {g.targets[0]} ; {c1} {c2}"
+                line = f"TOFFOLI {label[g.targets[0]]} ; {label[c1]} {label[c2]}"
             elif g.kind == "CNOT":
-                line = f"CNOT {g.targets[0]} ; {g.controls[0]}"
+                line = f"CNOT {label[g.targets[0]]} ; {label[g.controls[0]]}"
             else:
                 head = f"ORACLE {g.name} " if g.kind == "ORACLE" else f"{g.kind} "
                 line = head + " ".join(map(str, g.targets))
                 if g.controls:
                     line += " ; " + " ".join(map(str, g.controls))
             lines.append(line)
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the final newline, without copying the joined text
+        return "\n".join(lines)
 
 
-def gate_tally(gates: list[Gate]) -> tuple[int, int]:
-    """Pre-expansion (raw_cnot, toffoli) of a gate list.
+def gate_tally(gates: list[Gate]) -> tuple[int, int, int]:
+    """Pre-expansion (raw_cnot, toffoli) of a gate list, and its widest ladder.
 
-    A k-controlled X counts as its ladder CNOT plus 2(k-1) Toffolis.
+    A k-controlled X counts as its ladder CNOT plus 2(k-1) Toffolis and
+    borrows k-1 ancillas; the third value is the most any MCX borrows.
     """
     raw_cnot = 0
     toffoli = 0
+    peak_ladder = 0
     for g in gates:
-        if g.kind == "CNOT":
-            raw_cnot += 1
-        elif g.kind == "TOFFOLI":
+        kind = g.kind
+        if kind == "TOFFOLI":
             toffoli += 1
-        elif g.kind == "MCX":
-            toffoli += 2 * (len(g.controls) - 1)
+        elif kind == "CNOT":
             raw_cnot += 1
-    return raw_cnot, toffoli
+        elif kind == "MCX":
+            ladder = len(g.controls) - 1
+            toffoli += 2 * ladder
+            raw_cnot += 1
+            peak_ladder = max(peak_ladder, ladder)
+    return raw_cnot, toffoli, peak_ladder
 
 
 def resource_profile(circ: Circuit) -> ResourceProfile:
     """Cost the circuit under the Clifford+T expansion convention."""
-    raw_cnot, toffoli = gate_tally(circ.gates)
-    peak_ladder = max(
-        (len(g.controls) - 1 for g in circ.gates if g.kind == "MCX"), default=0
-    )
+    raw_cnot, toffoli, peak_ladder = gate_tally(circ.gates)
     return ResourceProfile(
         cnot=raw_cnot + TOFFOLI_CNOT_COUNT * toffoli,
         toffoli=toffoli,

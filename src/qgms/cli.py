@@ -22,6 +22,7 @@ or a synth circuit).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -226,7 +227,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.command == "synth":
-        return cmd_synth(args)
+        # The build frees none of its gates until cmd_synth returns, so a collection
+        # finds nothing; they die by refcount before the collector is back on.
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            return cmd_synth(args)
+        finally:
+            if was:
+                gc.enable()
     if args.command == "verify":
         return cmd_verify(args)
     return cmd_gms(args)

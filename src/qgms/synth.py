@@ -33,9 +33,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .circuit import TOFFOLI_CNOT_COUNT, TOFFOLI_T_DEPTH, Circuit, gate_tally
-from .gf2 import BitMatrix
+
+if TYPE_CHECKING:  # only unpack_matrix builds one, so synth loads without gf2
+    from .gf2 import BitMatrix
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,7 @@ class _Builder:
         """Record the gates and ancillas the ``with`` body appends, even none."""
         start, a0 = len(self.circ.gates), self.circ.ancilla_count
         yield
-        cnot, toffoli = gate_tally(self.circ.gates[start:])
+        cnot, toffoli, _ = gate_tally(self.circ.gates[start:])
         self.stages.append(
             StageCost(name, column, cnot, toffoli, self.circ.ancilla_count - a0)
         )
@@ -479,5 +482,7 @@ def pack_matrix(a: BitMatrix, above: int = 0) -> int:
 
 def unpack_matrix(bits: int, rows: int, cols: int) -> BitMatrix:
     """The rows x cols matrix register at qubits 0..rows*cols-1 of ``bits``."""
+    from .gf2 import BitMatrix
+
     mask = (1 << cols) - 1
     return BitMatrix(rows, cols, [(bits >> (i * cols)) & mask for i in range(rows)])

@@ -6,7 +6,14 @@ import dataclasses
 
 import pytest
 
-from qgms.circuit import Circuit, Gate, RegisterMismatch, resource_profile
+from qgms.circuit import (
+    Circuit,
+    Gate,
+    RegisterMismatch,
+    ResourceProfile,
+    gate_tally,
+    resource_profile,
+)
 from qgms.synth import gauss_solve_circuit, jordan_solve_circuit, kernel_circuit, rref_circuit
 
 
@@ -243,3 +250,88 @@ def test_solver_gates_take_the_fast_path(monkeypatch):
         for g in circ.gates:
             assert g == Gate(g.kind, g.targets, g.controls, g.name)
             circ._check(g)
+
+
+def _reference_text(circ):
+    """``to_text`` as one formula for every kind: kind (or ORACLE and its
+    name), targets, then ``;`` and controls when there are any."""
+    lines = [f"circuit {circ.qubit_count}"]
+    lines += ["reg " + name + " " + " ".join(map(str, qs)) for name, qs in circ.registers.items()]
+    for g in circ.gates:
+        head = f"ORACLE {g.name} " if g.kind == "ORACLE" else f"{g.kind} "
+        line = head + " ".join(map(str, g.targets))
+        if g.controls:
+            line += " ; " + " ".join(map(str, g.controls))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_profile(circ):
+    """The cost model from kind counts, with the widest ladder found in a
+    pass of its own."""
+    kinds = [g.kind for g in circ.gates]
+    ladders = [len(g.controls) - 1 for g in circ.gates if g.kind == "MCX"]
+    toffoli = kinds.count("TOFFOLI") + 2 * sum(ladders)
+    raw_cnot = kinds.count("CNOT") + len(ladders)
+    peak = max(ladders, default=0)
+    return ResourceProfile(
+        cnot=raw_cnot + 6 * toffoli,
+        toffoli=toffoli,
+        t_depth=7 * toffoli,
+        ancilla=circ.ancilla_count + peak,
+        total_qubits=circ.qubit_count + peak,
+        raw_cnot=raw_cnot,
+    )
+
+
+def test_text_and_profile_match_references_on_random_circuits():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    # Fewest qubits each kind can take; ORACLE has at least one input and
+    # one output.
+    least = {"X": 1, "H": 1, "CNOT": 2, "TOFFOLI": 3, "MCX": 4, "ORACLE": 2}
+
+    @st.composite
+    def gates(draw, width):
+        kind = draw(st.sampled_from([k for k, q in least.items() if q <= width]))
+        qubits = draw(st.permutations(range(width)))
+        if kind == "MCX":
+            size = draw(st.integers(4, width))
+        elif kind == "ORACLE":
+            size = draw(st.integers(2, width))
+        else:
+            size = least[kind]
+        split = draw(st.integers(1, size - 1)) if kind == "ORACLE" else 1
+        name = draw(st.sampled_from(["f", "g"])) if kind == "ORACLE" else None
+        targets = tuple(qubits[:split])
+        return Gate(kind, targets, tuple(qubits[split:size]), name)
+
+    @st.composite
+    def circuits(draw):
+        width = draw(st.integers(1, 14))
+        circ = Circuit(width, ancilla_count=draw(st.integers(0, width)))
+        names = draw(st.lists(st.sampled_from("abc"), unique=True, max_size=3))
+        for name in names:
+            circ.registers[name] = tuple(draw(st.lists(st.integers(0, width - 1), max_size=4)))
+        for gate in draw(st.lists(gates(width), max_size=30)):
+            circ.append(gate)
+        return circ
+
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(circuits())
+    def check(circ):
+        assert circ.to_text() == _reference_text(circ)
+        ref = _reference_profile(circ)
+        assert resource_profile(circ) == ref
+        peak = ref.total_qubits - circ.qubit_count
+        assert gate_tally(circ.gates) == (ref.raw_cnot, ref.toffoli, peak)
+        seen.update(g.kind for g in circ.gates)
+        if any(q >= 10 for g in circ.gates for q in g.qubits):
+            seen.add("two-digit qubit")
+
+    check()
+    assert seen >= {*least, "two-digit qubit"}

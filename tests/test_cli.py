@@ -1,5 +1,6 @@
-"""End-to-end tests of the command line via subprocess."""
+"""End-to-end tests of the command line, mostly via subprocess."""
 
+import gc
 import json
 import os
 import resource
@@ -252,6 +253,7 @@ loaded["qgms --version"] = "numpy" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     code = qgms.cli.main(["synth", "qge", "--n", "3", "--out", sys.argv[1]])
 loaded["qgms synth qge"] = "numpy" in sys.modules
+loaded["qgms synth qge: qgms.gf2"] = "qgms.gf2" in sys.modules
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     verify_code = qgms.cli.main(["verify", "gf2"])
@@ -263,8 +265,8 @@ print(json.dumps({"code": code, "verify": [verify_code, verify_passed], "numpy_l
 
 def test_package_root_and_synth_start_without_numpy(tmp_path):
     """``import qgms``, ``--version``, ``synth`` and ``verify gf2`` run
-    without numpy: checked in a fresh interpreter, since this one already
-    has it loaded."""
+    without numpy, and ``synth`` without ``gf2``: checked in a fresh
+    interpreter, since this one already has both loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_CHECKPOINTS, str(tmp_path / "o")],
         cwd=tmp_path,
@@ -279,6 +281,43 @@ def test_package_root_and_synth_start_without_numpy(tmp_path):
         "import qgms": False,
         "qgms --version": False,
         "qgms synth qge": False,
+        "qgms synth qge: qgms.gf2": False,
         "qgms verify gf2": False,
     }
     assert (tmp_path / "o" / "qge_n3_circuit.txt").is_file()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["synth", "qgje", "--n", "4", "--out", "o"], 0),
+        (["synth", "qge", "--n", "1", "--out", "o"], 2),
+        (["synth", "qge", "--n", "3", "--out", "f"], 2),
+    ],
+    ids=["success", "n-too-small", "unwritable-out"],
+)
+def test_synth_runs_without_the_collector_and_restores_it(
+    tmp_path, capsys, monkeypatch, args, code, enabled
+):
+    from qgms import cli
+
+    seen = []
+    cmd_synth = cli.cmd_synth
+    monkeypatch.setattr(cli, "cmd_synth", lambda a: seen.append(gc.isenabled()) or cmd_synth(a))
+    (tmp_path / "f").touch()
+    args = [*args[:-1], str(tmp_path / args[-1])]
+    was = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert cli.main(args) == code
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+    assert seen == [False]
