@@ -241,10 +241,10 @@ def build_gms_circuit(cfg: GmsConfig) -> tuple[Circuit, dict[str, tuple[int, int
         for b in range(n):
             if (p >> b) & 1:
                 circ.x(xin[b])
-        circ.oracle_block("f", cfg.oracle, ins=key + xin, outs=out)
+        circ.oracle_block(cfg.oracle, ins=key + xin, outs=out)
         for b in range(n):
             circ.cnot(s_out[b], xin[b])
-        circ.oracle_block("f", cfg.oracle, ins=key + xin, outs=out)
+        circ.oracle_block(cfg.oracle, ins=key + xin, outs=out)
         return out
 
     def compute() -> int:
@@ -323,11 +323,11 @@ def _check_round(
     # run last, so that the diffusion check (the memory peak) runs without these arrays
     data = np.arange(1 << cfg.data_qubits, dtype=np.int64)
     lo, hi = slices["compute"]
-    out = sim.run_basis_batch(circ.gates[lo:hi], circ.oracles, data)
+    out = sim.run_basis_batch(circ.gates[lo:hi], data)
     if not np.array_equal((out >> accept) & 1 == 1, flip):
         raise RuntimeError("accept qubit disagrees with the classifier mask")
     lo, hi = slices["uncompute"]
-    if not np.array_equal(sim.run_basis_batch(circ.gates[lo:hi], circ.oracles, out), data):
+    if not np.array_equal(sim.run_basis_batch(circ.gates[lo:hi], out), data):
         raise RuntimeError("scratch register failed to uncompute")
 
 
@@ -388,10 +388,10 @@ def run_gms_per_gate(cfg: GmsConfig, t_max: int) -> list[float]:
     lo, hi = slices["prep"]
     round_lo, round_hi = slices["compute"][0], slices["diffusion"][1]
     state: dict[int, complex] = {0: 1.0 + 0.0j}
-    state = sim.sparse_apply(state, circ.gates[lo:hi], circ.oracles)
+    state = sim.sparse_apply(state, circ.gates[lo:hi])
     curve = [marked_mass(state)]
     for _ in range(t_max):
-        state = sim.sparse_apply(state, circ.gates[round_lo:round_hi], circ.oracles)
+        state = sim.sparse_apply(state, circ.gates[round_lo:round_hi])
         curve.append(marked_mass(state))
     return curve
 
@@ -664,7 +664,7 @@ def deferred_vs_immediate(n: int, l: int, s: int, seed: int = 0) -> DeferredComp
     kernel_core(bld, ys, s_out, flag)
 
     state: dict[int, complex] = {0: 1.0 + 0.0j}
-    state = sim.sparse_apply(state, circ.gates, circ.oracles)
+    state = sim.sparse_apply(state, circ.gates)
     y_qubits = [q for y in ys for q in y]  # row j lands on bits n*j..n*j+n-1
     dist_deferred: dict[tuple[int, int], float] = {}
     for idx, amp in state.items():

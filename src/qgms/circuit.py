@@ -1,8 +1,10 @@
 """Reversible circuit IR: gates, registers, resource accounting.
 
 The gate set is deliberately small: X, H, CNOT, Toffoli, multi-controlled
-X, and opaque oracle blocks that XOR a classical function of one register
-into another. Each of the six kinds is its own inverse, so a block is
+X, and oracle blocks that XOR a classical function of one register into
+another. An oracle gate carries that function as its truth table,
+tabulated once when the block is built, so a gate list alone says what
+a circuit does. Each of the six kinds is its own inverse, so a block is
 undone by its gates in reverse order. Everything downstream (simulation,
 cost models, text export) works off this one representation.
 
@@ -20,6 +22,7 @@ numpy.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 
@@ -27,14 +30,14 @@ class RegisterMismatch(Exception):
     """Raised when a gate references qubits outside or overlapping wrongly."""
 
 
-# Gate kinds with fixed shapes, each its own inverse; ORACLE is the only
-# named kind.
+# Gate kinds, each its own inverse; ORACLE is the only one with a table.
 _KINDS = {"X", "H", "CNOT", "TOFFOLI", "MCX", "ORACLE"}
 
 TOFFOLI_T_DEPTH = 7
 TOFFOLI_CNOT_COUNT = 6
 
 DEFAULT_QUBIT_CAP = 24
+_MAX_QUBIT_CAP = 58
 
 
 class QubitCapExceeded(Exception):
@@ -42,7 +45,13 @@ class QubitCapExceeded(Exception):
 
 
 def qubit_cap() -> int:
-    """Qubit limit of both state engines; override with QGMS_QUBIT_CAP."""
+    """Qubit limit of both state engines; override with QGMS_QUBIT_CAP.
+
+    The override must lie in 1..58. numpy sizes no array past 2^63 bytes:
+    a dense state of 2^58 amplitudes (2^62 bytes) is the widest whose
+    failed allocation raises MemoryError rather than ValueError, and every
+    other array the cap admits is no larger.
+    """
     raw = os.environ.get("QGMS_QUBIT_CAP")
     if raw is None:
         return DEFAULT_QUBIT_CAP
@@ -50,19 +59,25 @@ def qubit_cap() -> int:
         cap = int(raw)
     except ValueError:
         cap = 0
-    if cap < 1:
-        raise ValueError(f"QGMS_QUBIT_CAP must be a positive integer, got {raw!r}")
+    if not 1 <= cap <= _MAX_QUBIT_CAP:
+        raise ValueError(
+            f"QGMS_QUBIT_CAP must be a positive integer of at most {_MAX_QUBIT_CAP}, got {raw!r}"
+        )
     return cap
 
 
 @dataclass(frozen=True, slots=True)
 class Gate:
-    """One gate: kind, target qubits, control qubits, optional oracle name."""
+    """One gate: kind, target qubits, control qubits, oracle truth table.
+
+    An ORACLE gate XORs ``table[x]`` into its targets, where x packs its
+    controls LSB-first; no other kind has a table.
+    """
 
     kind: str
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
-    name: str | None = None
+    table: tuple[int, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -81,8 +96,13 @@ class Gate:
             raise RegisterMismatch("TOFFOLI takes one target, two controls")
         if self.kind == "MCX" and (n_t != 1 or n_c < 3):
             raise RegisterMismatch("MCX takes one target, three or more controls")
-        if self.kind == "ORACLE" and (not self.name or n_t == 0 or n_c == 0):
-            raise RegisterMismatch("ORACLE needs a name, inputs and outputs")
+        if (self.table is None) == (self.kind == "ORACLE"):
+            raise ValueError("an ORACLE gate, and only an ORACLE gate, has a table")
+        if self.kind == "ORACLE":
+            if n_t == 0 or n_c == 0:
+                raise RegisterMismatch("ORACLE needs inputs and outputs")
+            if len(self.table) != 1 << n_c or not all(0 <= v < 1 << n_t for v in self.table):
+                raise ValueError(f"ORACLE table needs 2^{n_c} entries in [0, 2^{n_t})")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -90,8 +110,8 @@ class Gate:
 
 
 # Circuit's constructors fill a checked gate's slots through their descriptors.
-_set_kind, _set_targets, _set_controls, _set_name = (
-    Gate.__dict__[f].__set__ for f in ("kind", "targets", "controls", "name")
+_set_kind, _set_targets, _set_controls, _set_table = (
+    Gate.__dict__[f].__set__ for f in ("kind", "targets", "controls", "table")
 )
 
 
@@ -100,7 +120,7 @@ def _valid_gate(kind: str, targets: tuple[int, ...], controls: tuple[int, ...]) 
     _set_kind(gate, kind)
     _set_targets(gate, targets)
     _set_controls(gate, controls)
-    _set_name(gate, None)
+    _set_table(gate, None)
     return gate
 
 
@@ -129,15 +149,13 @@ class Circuit:
 
     ``registers`` maps a name to the tuple of qubit indices it covers;
     ``ancilla_count`` is how many of the qubits are workspace rather than
-    problem data. ``oracles`` maps oracle-block names to their function
-    objects (anything with the oracle protocol; see qgms.oracles).
+    problem data.
     """
 
     qubit_count: int
     gates: list[Gate] = field(default_factory=list)
     registers: dict[str, tuple[int, ...]] = field(default_factory=dict)
     ancilla_count: int = 0
-    oracles: dict[str, object] = field(default_factory=dict)
 
     def _check(self, gate: Gate) -> None:
         top = max(gate.qubits)
@@ -176,7 +194,7 @@ class Circuit:
             _set_kind(gate, "CNOT")
             _set_targets(gate, (target,))
             _set_controls(gate, (control,))
-            _set_name(gate, None)
+            _set_table(gate, None)
             self.gates.append(gate)
         else:
             self.append(Gate("CNOT", (target,), (control,)))
@@ -188,7 +206,7 @@ class Circuit:
             _set_kind(gate, "TOFFOLI")
             _set_targets(gate, (target,))
             _set_controls(gate, (c1, c2))
-            _set_name(gate, None)
+            _set_table(gate, None)
             self.gates.append(gate)
         else:
             self.append(Gate("TOFFOLI", (target,), (c1, c2)))
@@ -205,15 +223,13 @@ class Circuit:
         else:
             self.append(Gate("MCX", (target,), tuple(controls)))
 
-    def oracle_block(
-        self, name: str, fn: object, ins: list[int], outs: list[int]
-    ) -> None:
-        """XOR fn(ins) into outs. Involution, so it is its own inverse."""
-        existing = self.oracles.get(name)
-        if existing is not None and existing is not fn:
-            raise RegisterMismatch(f"oracle name {name!r} already bound")
-        self.oracles[name] = fn
-        self.append(Gate("ORACLE", tuple(outs), tuple(ins), name=name))
+    def oracle_block(self, fn: Callable[[int], int], ins: list[int], outs: list[int]) -> None:
+        """XOR fn(ins) into outs. Involution, so it is its own inverse.
+
+        fn is called once per input value, here; the gate keeps the table.
+        """
+        table = tuple(int(fn(x)) for x in range(1 << len(ins)))
+        self.append(Gate("ORACLE", tuple(outs), tuple(ins), table))
 
     def to_text(self) -> str:
         """Line-oriented export: header, registers, then one gate per line."""
@@ -228,8 +244,7 @@ class Circuit:
             elif g.kind == "CNOT":
                 line = f"CNOT {label[g.targets[0]]} ; {label[g.controls[0]]}"
             else:
-                head = f"ORACLE {g.name} " if g.kind == "ORACLE" else f"{g.kind} "
-                line = head + " ".join(map(str, g.targets))
+                line = f"{g.kind} " + " ".join(map(str, g.targets))
                 if g.controls:
                     line += " ; " + " ".join(map(str, g.controls))
             lines.append(line)

@@ -63,11 +63,6 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _cap_error(exc: Exception) -> int:
-    print(str(exc) or "out of memory", file=sys.stderr)
-    return 3
-
-
 def _write_all(out: Path, files: dict[str, str]) -> int:
     """Write each named text into directory ``out``, creating it if needed.
 
@@ -90,31 +85,26 @@ def _dump_json(payload: dict) -> str:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.n < 2:
         return _usage_error("--n must be at least 2 (a 1x1 system needs no circuit)")
-    try:
-        if args.kind == "qge":
-            syn = synth.gauss_solve_circuit(args.n)
-            closed = synth.gauss_closed_form(args.n)
-        else:
-            syn = synth.jordan_solve_circuit(args.n)
-            closed = synth.jordan_closed_form(args.n)
-        stage_sum = synth.stage_totals(syn.stages)
-        stage_sum["cnot_after_toffoli_expansion"] = synth.expanded_cnot(syn.stages)
-        stem = f"{args.kind}_n{args.n}"
-        payload = {
-            "schema": 1,
-            "manifest": run_manifest(
-                "synth", {"kind": args.kind, "n": args.n}, {}
-            ),
-            "constructed": asdict(resource_profile(syn.circuit)),
-            "closed_form": closed,
-            "stage_sum": stage_sum,
-        }
-        files = {
-            f"{stem}_circuit.txt": syn.circuit.to_text(),
-            f"{stem}_resources.json": _dump_json(payload),
-        }
-    except MemoryError as exc:
-        return _cap_error(exc)
+    if args.kind == "qge":
+        syn = synth.gauss_solve_circuit(args.n)
+        closed = synth.gauss_closed_form(args.n)
+    else:
+        syn = synth.jordan_solve_circuit(args.n)
+        closed = synth.jordan_closed_form(args.n)
+    stage_sum = synth.stage_totals(syn.stages)
+    stage_sum["cnot_after_toffoli_expansion"] = synth.expanded_cnot(syn.stages)
+    stem = f"{args.kind}_n{args.n}"
+    payload = {
+        "schema": 1,
+        "manifest": run_manifest("synth", {"kind": args.kind, "n": args.n}, {}),
+        "constructed": asdict(resource_profile(syn.circuit)),
+        "closed_form": closed,
+        "stage_sum": stage_sum,
+    }
+    files = {
+        f"{stem}_circuit.txt": syn.circuit.to_text(),
+        f"{stem}_resources.json": _dump_json(payload),
+    }
     return _write_all(Path(args.out), files)
 
 
@@ -131,10 +121,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             kwargs = {"n": args.n, "l": args.l}
     elif args.n is not None or args.l is not None:
         return _usage_error("--n/--l only apply to the deferred suite")
-    try:
-        result = verify.run_suite(args.suite, **kwargs)
-    except (QubitCapExceeded, MemoryError) as exc:
-        return _cap_error(exc)
+    result = verify.run_suite(args.suite, **kwargs)
     payload = result.as_dict()
     payload["manifest"] = run_manifest("verify", {"suite": args.suite, **kwargs}, {})
     sys.stdout.write(_dump_json(payload))
@@ -156,17 +143,14 @@ def cmd_gms(args: argparse.Namespace) -> int:
     key = args.key if args.key is not None else 2 % (1 << args.m)
     k1 = args.k1 if args.k1 is not None else max(3 % (1 << args.n), 1)
     k2 = args.k2 if args.k2 is not None else 1 % (1 << args.n)
+    # before the oracle, which tabulates one permutation per key value
+    _check_cap(args.m, args.n, args.l)
     try:
-        # before the oracle, which tabulates one permutation per key value
-        _check_cap(args.m, args.n, args.l)
-        try:
-            fx = build_fx_oracle(args.m, args.n, key, k1, k2, cipher_seed=args.seed)
-            cfg = GmsConfig(args.m, args.n, args.l, fx)
-        except (ValueError, ZeroWhiteningKey) as exc:
-            return _usage_error(str(exc))
-        report = analysis_report(cfg, t_max=args.t_max)
-    except (QubitCapExceeded, MemoryError) as exc:
-        return _cap_error(exc)
+        fx = build_fx_oracle(args.m, args.n, key, k1, k2, cipher_seed=args.seed)
+        cfg = GmsConfig(args.m, args.n, args.l, fx)
+    except (ValueError, ZeroWhiteningKey) as exc:
+        return _usage_error(str(exc))
+    report = analysis_report(cfg, t_max=args.t_max)
     report["manifest"] = run_manifest(
         "gms",
         {
@@ -226,16 +210,16 @@ def main(argv: list[str] | None = None) -> int:
         _timestamp()
     except ValueError as exc:
         return _usage_error(str(exc))
+    was = gc.isenabled()
     if args.command == "synth":
         # The build frees none of its gates until cmd_synth returns, so a collection
         # finds nothing; they die by refcount before the collector is back on.
-        was = gc.isenabled()
         gc.disable()
-        try:
-            return cmd_synth(args)
-        finally:
-            if was:
-                gc.enable()
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_gms(args)
+    try:
+        return {"synth": cmd_synth, "verify": cmd_verify, "gms": cmd_gms}[args.command](args)
+    except (QubitCapExceeded, MemoryError) as exc:
+        print(str(exc) or "out of memory", file=sys.stderr)
+        return 3
+    finally:
+        if was:
+            gc.enable()

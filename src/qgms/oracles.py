@@ -162,8 +162,8 @@ def period_finding_rounds(
 ) -> None:
     """Append one H / query / H round per block pair (ys[j], fs[j]).
 
-    Round j applies H on ys[j], XORs oracle(key + ys[j]) into fs[j] as
-    oracle block "f", and applies H on ys[j] again; registers "y{j}" and
+    Round j applies H on ys[j], XORs oracle(key + ys[j]) into fs[j] with
+    an oracle block, and applies H on ys[j] again; registers "y{j}" and
     "f{j}" name its blocks.
     """
     for j, (y, f) in enumerate(zip(ys, fs)):
@@ -171,7 +171,7 @@ def period_finding_rounds(
         circ.registers[f"f{j}"] = tuple(f)
         for q in y:
             circ.h(q)
-        circ.oracle_block("f", oracle, ins=key + y, outs=f)
+        circ.oracle_block(oracle, ins=key + y, outs=f)
         for q in y:
             circ.h(q)
 

@@ -5,8 +5,10 @@ the value of qubit k. A matrix register laid out as qubit i*cols + j for
 entry (i, j) therefore packs to the same integer as its BitMatrix rows
 concatenated, which the tests lean on heavily.
 
-Every permutation gate (X, CNOT, TOFFOLI, MCX, ORACLE) is simulated by
-one kernel, ``run_basis_batch``. It pushes an array of basis indices
+The engines need nothing beside the gates: an ORACLE gate carries its
+truth table, so no simulator calls an oracle function. Every
+permutation gate (X, CNOT, TOFFOLI, MCX, ORACLE) is simulated by one
+kernel, ``run_basis_batch``. It pushes an array of basis indices
 through a run of such gates on bit planes: each touched qubit becomes
 one packed plane of bits, and each gate is one vector step on planes.
 The planes are the same whatever holds the indices, int64 or Python
@@ -67,22 +69,6 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _PRUNE = 1e-13
 
 
-class UnresolvedOracle(Exception):
-    """An ORACLE gate names a function the circuit does not carry."""
-
-
-def _oracle_table(tables: dict[str, np.ndarray], oracles: dict[str, object], gate: Gate):
-    """The ORACLE gate's output for every input, built once per name in ``tables``."""
-    name = gate.name or ""
-    if name not in tables:
-        fn = oracles.get(name)
-        if fn is None or not callable(fn):
-            raise UnresolvedOracle(f"no callable bound for oracle {name!r}")
-        inputs = range(1 << len(gate.controls))
-        tables[name] = np.array([int(fn(x)) for x in inputs], dtype=np.int64)
-    return tables[name]
-
-
 # ---------------------------------------------------------------------------
 # Dense engine
 
@@ -138,7 +124,6 @@ def dense_steps(circ: Circuit):
     The cap is checked here, before anything is allocated. The steps are
     generated lazily, so ``run`` holds one gather map at a time; a
     caller that applies them to several states keeps them in a list.
-    One oracle table per name serves every run.
 
     Raises:
         QubitCapExceeded: if the circuit is wider than the cap allows.
@@ -176,14 +161,13 @@ def _planned_steps(circ: Circuit, swaps: list[tuple[int, int]]):
     relabel = dict(swaps + [(b, a) for a, b in swaps])
     # P as gates: three CNOTs swap two qubits.
     swap = [Gate("CNOT", (t,), (c,)) for a, b in swaps for t, c in ((b, a), (a, b), (b, a))]
-    tables: dict[str, np.ndarray] = {}
     for seg in _segments(swap + [_relabelled(g, relabel) for g in circ.gates] + swap):
         if not isinstance(seg, list):
             yield seg
             continue
         every = np.arange(1 << circ.qubit_count, dtype=np.int64)
         # the inverse run: every gate is an involution
-        yield run_basis_batch(seg[::-1], circ.oracles, every, tables)
+        yield run_basis_batch(seg[::-1], every)
 
 
 def apply_steps(steps, amps: np.ndarray) -> np.ndarray:
@@ -232,27 +216,24 @@ def _dense_apply(amps: np.ndarray, gate: Gate) -> np.ndarray:
 # Sparse engine
 
 
-def sparse_apply(
-    state: dict[int, complex], gates: list[Gate], oracles: dict[str, object]
-) -> dict[int, complex]:
+def sparse_apply(state: dict[int, complex], gates: list[Gate]) -> dict[int, complex]:
     """Apply a gate list to a sparse state; returns a new dict.
 
-    Each run of permutation gates relabels the keys in one
-    ``run_basis_batch`` call, on an object array of Python ints, so keys
-    of any width take the same path. One oracle table per name serves
-    every run. An H at most doubles the support, so the qubit cap bounds
-    it as it bounds the dense engine: no more than 2^cap entries.
+    Each run of permutation gates, ORACLE gates with their own tables
+    among them, relabels the keys in one ``run_basis_batch`` call, on an
+    object array of Python ints, so keys of any width take the same path.
+    An H at most doubles the support, so the qubit cap bounds it as it
+    bounds the dense engine: no more than 2^cap entries.
 
     Raises:
         QubitCapExceeded: before an H that could take the support past
             2^cap entries.
     """
     cap = qubit_cap()
-    tables: dict[str, np.ndarray] = {}
     for seg in _segments(gates):
         if isinstance(seg, list):
             keys = np.array(list(state), dtype=object)
-            moved = run_basis_batch(seg, oracles, keys, tables)
+            moved = run_basis_batch(seg, keys)
             state = dict(zip(moved.tolist(), state.values()))
             continue
         if 2 * len(state) > 1 << cap:
@@ -281,25 +262,18 @@ def run_basis(circ: Circuit, bits: int) -> int:
     Raises:
         ValueError: on H, which does not permute basis states.
     """
-    tables: dict[str, np.ndarray] = {}
     for gate in circ.gates:
         if gate.kind == "H":
             raise ValueError(f"{gate.kind} is not a permutation gate")
         if gate.kind == "ORACLE":
-            table = _oracle_table(tables, circ.oracles, gate)
-            delta = int(table[extract_bits(bits, gate.controls)])
+            delta = gate.table[extract_bits(bits, gate.controls)]
             bits ^= pack_bits([delta >> j for j in range(len(gate.targets))], gate.targets)
         elif all((bits >> c) & 1 for c in gate.controls):
             bits ^= 1 << gate.targets[0]
     return bits
 
 
-def run_basis_batch(
-    gates: list[Gate],
-    oracles: dict[str, object],
-    bits: np.ndarray,
-    _tables: dict[str, np.ndarray] | None = None,
-) -> np.ndarray:
+def run_basis_batch(gates: list[Gate], bits: np.ndarray) -> np.ndarray:
     """Track an array of basis states through permutation-only gates.
 
     ``bits`` holds basis indices, int64 or Python ints of any width in an
@@ -309,10 +283,9 @@ def run_basis_batch(
     implementation in software", FSE 1997): each touched qubit's bit of
     every index, packed eight to a byte. An X/CNOT/TOFFOLI/MCX XORs the
     AND of its control planes into its target plane; an ORACLE looks up
-    its control planes as a table index and XORs the result into its
-    target planes. The planes are written back at the end, so one gate
-    loop serves both dtypes. ``_tables`` lets the runs of one circuit
-    share their oracle tables, keyed by oracle name.
+    its control planes as an index into its own truth table and XORs the
+    entry into its target planes. The planes are written back at the
+    end, so one gate loop serves both dtypes.
 
     Raises:
         ValueError: on H, which does not permute basis states, or, for
@@ -327,13 +300,12 @@ def run_basis_batch(
         raise ValueError("int64 basis indices hold at most 63 qubits")
     unpack = partial(np.unpackbits, count=len(bits), bitorder="little")
     planes = {q: np.packbits(((bits >> q) & 1) != 0, bitorder="little") for q in touched}
-    tables = {} if _tables is None else _tables
     for gate in gates:
         if gate.kind == "ORACLE":
             index = np.zeros(len(bits), dtype=np.int64)
             for j, c in enumerate(gate.controls):
                 index |= unpack(planes[c]).astype(np.int64) << j
-            delta = _oracle_table(tables, oracles, gate)[index]
+            delta = np.array(gate.table, dtype=np.int64)[index]
             for j, t in enumerate(gate.targets):
                 planes[t] ^= np.packbits((delta >> j) & 1, bitorder="little")
         else:

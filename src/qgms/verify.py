@@ -174,7 +174,7 @@ def _truth_table(circ, inputs: list[int]) -> list[int]:
 
     from . import sim
 
-    out = sim.run_basis_batch(circ.gates, circ.oracles, np.array(inputs, dtype=np.int64))
+    out = sim.run_basis_batch(circ.gates, np.array(inputs, dtype=np.int64))
     return out.tolist()
 
 

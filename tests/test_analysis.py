@@ -283,7 +283,7 @@ def test_search_circuit_keeps_scratch_clean():
     cfg = fixture_cfg()
     circ, slices = build_gms_circuit(cfg)
     state = {0: 1.0 + 0.0j}
-    state = sim.sparse_apply(state, circ.gates, circ.oracles)
+    state = sim.sparse_apply(state, circ.gates)
     data = 1 << cfg.data_qubits
     assert all(idx < data for idx in state)
     total = sum((a * a.conjugate()).real for a in state.values())

@@ -49,9 +49,7 @@ def circuits(draw, kinds=KINDS, qubits=(4, 6), max_gates=12):
                     )
                 )
             )
-            circ.oracle_block(
-                f"f{i}", table.__getitem__, ins=qs[:n_in], outs=qs[n_in : n_in + n_out]
-            )
+            circ.oracle_block(table.__getitem__, ins=qs[:n_in], outs=qs[n_in : n_in + n_out])
             continue
         n_controls = {"CNOT": 1, "TOFFOLI": 2}.get(kind, 0)
         if kind == "MCX":
@@ -78,7 +76,7 @@ def as_dense(state, qubit_count):
 @given(permutation_circuits())
 def test_batch_equals_single_state_tracker(circ):
     inputs = every_input(circ)
-    got = run_basis_batch(circ.gates, circ.oracles, inputs)
+    got = run_basis_batch(circ.gates, inputs)
     assert got.dtype == np.int64
     assert got.tolist() == [run_basis(circ, int(x)) for x in inputs]
     assert np.array_equal(inputs, every_input(circ))  # input left untouched
@@ -88,9 +86,9 @@ def test_batch_equals_single_state_tracker(circ):
 @given(permutation_circuits())
 def test_batch_equals_sparse_engine_from_each_basis_state(circ):
     inputs = every_input(circ)
-    got = run_basis_batch(circ.gates, circ.oracles, inputs)
+    got = run_basis_batch(circ.gates, inputs)
     for x, y in zip(inputs.tolist(), got.tolist()):
-        assert sparse_apply({x: 1.0 + 0j}, circ.gates, circ.oracles) == {y: 1.0}
+        assert sparse_apply({x: 1.0 + 0j}, circ.gates) == {y: 1.0}
 
 
 @settings(max_examples=80, deadline=None)
@@ -101,12 +99,12 @@ def test_circuit_then_inverse_mirror_is_identity(perm, circ, seed):
     states run by the dense engine."""
     inputs = every_input(perm)
     mirror = perm.gates + perm.gates[::-1]
-    assert np.array_equal(run_basis_batch(mirror, perm.oracles, inputs), inputs)
+    assert np.array_equal(run_basis_batch(mirror, inputs), inputs)
     q = circ.qubit_count
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
     amps /= np.linalg.norm(amps)
-    mirror = Circuit(q, circ.gates + circ.gates[::-1], oracles=circ.oracles)
+    mirror = Circuit(q, circ.gates + circ.gates[::-1])
     out = run(mirror, state=StateVector(q, amps)).amps
     assert np.max(np.abs(out - amps)) <= 1e-12
 
@@ -116,7 +114,7 @@ def test_circuit_then_inverse_mirror_is_identity(perm, circ, seed):
 def test_dense_matches_sparse_from_a_basis_state(circ, data):
     x = data.draw(st.integers(0, (1 << circ.qubit_count) - 1))
     dense = run(circ, basis_state(circ.qubit_count, x)).amps
-    sparse = sparse_apply({x: 1.0 + 0j}, circ.gates, circ.oracles)
+    sparse = sparse_apply({x: 1.0 + 0j}, circ.gates)
     sparse = as_dense(sparse, circ.qubit_count)
     assert np.max(np.abs(dense - sparse)) <= 1e-12
 
@@ -158,7 +156,7 @@ def relabelled_circuits(draw):
     if draw(st.booleans()):
         gates.append(Gate("H", (draw(st.integers(0, q - 1)),)))
     gates.insert(draw(st.integers(0, len(gates))), Gate("H", (0,)))
-    return Circuit(q, gates, oracles=base.oracles)
+    return Circuit(q, gates)
 
 
 def unrelabelled_run(circ, amps):
@@ -171,7 +169,7 @@ def unrelabelled_run(circ, amps):
             continue
         if perm:
             moved = np.empty_like(amps)
-            moved[run_basis_batch(perm, circ.oracles, every_input(circ))] = amps
+            moved[run_basis_batch(perm, every_input(circ))] = amps
             amps, perm = moved, []
         if gate is not None:
             amps = _dense_apply(amps, gate)
@@ -192,6 +190,10 @@ def test_relabelled_plan_equals_unrelabelled_run_bit_for_bit(circ, seed, width):
     assert np.array_equal(apply_steps(steps, amps.copy()), unrelabelled_run(circ, amps))
 
 
+def wide_f(v):
+    return (5 * v + 3) % 8
+
+
 def wide_circuit():
     """A 70-qubit permutation circuit whose gates and oracle reach past qubit 62."""
     circ = Circuit(70)
@@ -199,7 +201,7 @@ def wide_circuit():
     circ.cnot(64, 69)
     circ.toffoli(0, 69, 63)
     circ.mcx([1, 63, 64], 68)
-    circ.oracle_block("f", lambda v: (5 * v + 3) % 8, ins=[2, 68, 69], outs=[65, 3, 67])
+    circ.oracle_block(wide_f, ins=[2, 68, 69], outs=[65, 3, 67])
     circ.cnot(65, 1)
     return circ
 
@@ -209,7 +211,7 @@ WIDE_INPUTS = [0, 1, 6, (1 << 69) | 5, (1 << 64) | (1 << 63) | 2, (1 << 70) - 1]
 
 def test_wide_batch_with_python_int_indices_equals_single_state_tracker():
     circ = wide_circuit()
-    got = run_basis_batch(circ.gates, circ.oracles, np.array(WIDE_INPUTS, dtype=object))
+    got = run_basis_batch(circ.gates, np.array(WIDE_INPUTS, dtype=object))
     assert got.dtype == object
     assert got.tolist() == [run_basis(circ, x) for x in WIDE_INPUTS]
 
@@ -218,8 +220,8 @@ def test_wide_batch_with_python_int_indices_equals_single_state_tracker():
 @given(permutation_circuits(qubits=(4, 7)))
 def test_object_array_indices_take_the_int64_path_bit_for_bit(circ):
     inputs = every_input(circ)
-    got = run_basis_batch(circ.gates, circ.oracles, inputs)
-    wide = run_basis_batch(circ.gates, circ.oracles, inputs.astype(object))
+    got = run_basis_batch(circ.gates, inputs)
+    wide = run_basis_batch(circ.gates, inputs.astype(object))
     assert wide.dtype == object
     assert wide.tolist() == got.tolist()
 
@@ -234,7 +236,7 @@ def shifted(circ, offset):
         )
         for g in circ.gates
     ]
-    return Circuit(circ.qubit_count + offset, gates, oracles=circ.oracles)
+    return Circuit(circ.qubit_count + offset, gates)
 
 
 @settings(max_examples=80, deadline=None)
@@ -245,23 +247,23 @@ def test_gates_across_qubit_63_equal_single_state_tracker(circ, data):
     inputs = data.draw(
         st.lists(st.integers(0, (1 << wide.qubit_count) - 1), min_size=1, max_size=16)
     )
-    got = run_basis_batch(wide.gates, wide.oracles, np.array(inputs, dtype=object))
+    got = run_basis_batch(wide.gates, np.array(inputs, dtype=object))
     assert got.tolist() == [run_basis(wide, x) for x in inputs]
 
 
 def test_wide_sparse_engine_matches_tracker_through_hadamards():
     perm = wide_circuit()
-    after = Circuit(70, oracles=perm.oracles)
+    after = Circuit(70)
     after.cnot(63, 0)
-    after.oracle_block("f", perm.oracles["f"], ins=[0, 64, 69], outs=[1, 2, 62])
-    sandwich = Circuit(70, list(perm.gates), oracles=perm.oracles)
+    after.oracle_block(wide_f, ins=[0, 64, 69], outs=[1, 2, 62])
+    sandwich = Circuit(70, list(perm.gates))
     sandwich.h(66)
     sandwich.extend(after.gates)
     sandwich.h(66)
     for x in WIDE_INPUTS:
         y = run_basis(perm, x)
-        assert sparse_apply({x: 1.0 + 0j}, perm.gates, perm.oracles) == {y: 1.0}
+        assert sparse_apply({x: 1.0 + 0j}, perm.gates) == {y: 1.0}
         z = run_basis(after, y)
-        state = sparse_apply({x: 1.0 + 0j}, sandwich.gates, sandwich.oracles)
+        state = sparse_apply({x: 1.0 + 0j}, sandwich.gates)
         assert list(state) == [z]
         assert abs(state[z] - 1.0) <= 1e-12

@@ -49,14 +49,20 @@ def test_mcx_lowering():
     assert kinds == ["CNOT", "TOFFOLI", "MCX"]
 
 
-def test_oracle_block_registration():
-    c = Circuit(4)
-    fn = object()
-    c.oracle_block("f", fn, ins=[0, 1], outs=[2, 3])
-    assert c.oracles["f"] is fn
-    c.oracle_block("f", fn, ins=[0, 1], outs=[2, 3])  # same object ok
-    with pytest.raises(RegisterMismatch):
-        c.oracle_block("f", object(), ins=[0], outs=[1])
+@pytest.mark.parametrize(
+    "kind, targets, controls, table",
+    [
+        ("ORACLE", (2, 3), (0, 1), None),  # no table
+        ("X", (0,), (), (0, 1)),  # a table on a gate that is not an oracle
+        ("ORACLE", (2, 3), (0, 1), (0, 1, 2)),  # 3 entries for 2 inputs
+        ("ORACLE", (2, 3), (0, 1), (0, 1, 4, 3)),  # 4 needs a third target
+        ("ORACLE", (2,), (0,), (-1, 0)),
+    ],
+    ids=["no-table", "table-on-x", "wrong-length", "entry-too-wide", "negative-entry"],
+)
+def test_malformed_oracle_gates_raise(kind, targets, controls, table):
+    with pytest.raises((ValueError, RegisterMismatch)):
+        Gate(kind, targets, controls, table)
 
 
 def test_resource_profile_single_toffoli():
@@ -105,8 +111,8 @@ def test_to_text_format():
     c.cnot(0, 2)
     c.toffoli(0, 1, 3)
     c.mcx([0, 1, 2, 3], 5)
-    c.oracle_block("f", object(), ins=[0, 1], outs=[2])
-    c.oracle_block("g", object(), ins=[0], outs=[4, 5])
+    c.oracle_block(lambda x: x & 1, ins=[0, 1], outs=[2])
+    c.oracle_block(lambda x: 3 * x, ins=[0], outs=[4, 5])
     text = c.to_text()
     assert text.endswith("\n")
     assert text.splitlines() == [
@@ -118,8 +124,8 @@ def test_to_text_format():
         "CNOT 2 ; 0",
         "TOFFOLI 3 ; 0 1",
         "MCX 5 ; 0 1 2 3",
-        "ORACLE f 2 ; 0 1",
-        "ORACLE g 4 5 ; 0",
+        "ORACLE 2 ; 0 1",
+        "ORACLE 4 5 ; 0",
     ]
 
 
@@ -129,7 +135,7 @@ def test_gates_are_immutable_whoever_builds_them():
     built, direct = c.gates[0], Gate("TOFFOLI", (2,), (0, 1))
     assert built == direct and hash(built) == hash(direct)
     for gate in (built, direct):
-        for name, value in [("kind", "X"), ("targets", (0,)), ("controls", ()), ("name", "f")]:
+        for name, value in [("kind", "X"), ("targets", (0,)), ("controls", ()), ("table", (0,))]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(gate, name, value)
     assert dataclasses.replace(built, targets=(1,), controls=(0, 2)) == Gate(
@@ -248,18 +254,17 @@ def test_solver_gates_take_the_fast_path(monkeypatch):
     monkeypatch.undo()
     for circ in circuits:
         for g in circ.gates:
-            assert g == Gate(g.kind, g.targets, g.controls, g.name)
+            assert g == Gate(g.kind, g.targets, g.controls, g.table)
             circ._check(g)
 
 
 def _reference_text(circ):
-    """``to_text`` as one formula for every kind: kind (or ORACLE and its
-    name), targets, then ``;`` and controls when there are any."""
+    """``to_text`` as one formula for every kind: kind, targets, then ``;``
+    and controls when there are any."""
     lines = [f"circuit {circ.qubit_count}"]
     lines += ["reg " + name + " " + " ".join(map(str, qs)) for name, qs in circ.registers.items()]
     for g in circ.gates:
-        head = f"ORACLE {g.name} " if g.kind == "ORACLE" else f"{g.kind} "
-        line = head + " ".join(map(str, g.targets))
+        line = f"{g.kind} " + " ".join(map(str, g.targets))
         if g.controls:
             line += " ; " + " ".join(map(str, g.controls))
         lines.append(line)
@@ -304,9 +309,9 @@ def test_text_and_profile_match_references_on_random_circuits():
         else:
             size = least[kind]
         split = draw(st.integers(1, size - 1)) if kind == "ORACLE" else 1
-        name = draw(st.sampled_from(["f", "g"])) if kind == "ORACLE" else None
+        table = (0,) * (1 << (size - split)) if kind == "ORACLE" else None
         targets = tuple(qubits[:split])
-        return Gate(kind, targets, tuple(qubits[split:size]), name)
+        return Gate(kind, targets, tuple(qubits[split:size]), table)
 
     @st.composite
     def circuits(draw):

@@ -137,10 +137,12 @@ def test_gms_rejects_negative_seed(tmp_path):
     [
         {"QGMS_QUBIT_CAP": "abc"},
         {"QGMS_QUBIT_CAP": "0"},
+        {"QGMS_QUBIT_CAP": "59"},
+        {"QGMS_QUBIT_CAP": "100"},
         {"SOURCE_DATE_EPOCH": "abc"},
         {"SOURCE_DATE_EPOCH": "1e9"},
     ],
-    ids=["abc", "0", "epoch-abc", "epoch-1e9"],
+    ids=["abc", "0", "59", "100", "epoch-abc", "epoch-1e9"],
 )
 @pytest.mark.parametrize(
     "args",
@@ -193,14 +195,16 @@ def _limit_address_space(limit):
         # one array the 2 GB cannot hold, asked for at once
         (["gms", "--m", "2", "--n", "6", "--l", "4"], 2 << 30),
         (["verify", "deferred", "--n", "6", "--l", "8"], 2 << 30),
+        # the widest shape the highest cap admits: 58 qubits, a 2^55-entry state
+        (["gms", "--m", "3", "--n", "2", "--l", "13"], 2 << 30),
         # millions of gates, whose lists outgrow 200 MB within seconds
         (["synth", "qge", "--n", "200"], 200 << 20),
     ],
-    ids=["gms", "deferred", "synth"],
+    ids=["gms", "deferred", "gms-widest", "synth"],
 )
 def test_failed_allocation_under_a_raised_cap_exits_3(tmp_path, args, limit):
     """What the cap allows but the host cannot allocate exits 3, not 1."""
-    env = {"QGMS_QUBIT_CAP": "62"}
+    env = {"QGMS_QUBIT_CAP": "58"}
     proc = run_cli(args, tmp_path, env, _limit_address_space(limit))
     assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1

@@ -68,10 +68,10 @@ def test_nested_mirrors_restore_every_qubit_but_the_body_target(data):
     assert bld._free == start_free
 
     inputs = np.arange(1 << circ.qubit_count, dtype=np.int64)
-    out = run_basis_batch(circ.gates, circ.oracles, inputs)
+    out = run_basis_batch(circ.gates, inputs)
     assert np.array_equal((out ^ inputs) & ~(1 << target), np.zeros_like(inputs))
     # the body saw both computed blocks
-    mid = run_basis_batch(circ.gates[:body_at], circ.oracles, inputs)
+    mid = run_basis_batch(circ.gates[:body_at], inputs)
     hit = np.ones_like(inputs)
     for c in controls:
         hit &= (mid >> qubits[c]) & 1

@@ -199,7 +199,7 @@ def test_y_marginal_matches_simulated_round_for_residuals():
         circ = Circuit(4)
         circ.h(0)
         circ.h(1)
-        circ.oracle_block("f", lambda v, t=table: t[v], ins=[0, 1], outs=[2, 3])
+        circ.oracle_block(lambda v, t=table: t[v], ins=[0, 1], outs=[2, 3])
         circ.h(0)
         circ.h(1)
         got = marginal(sim.run(circ), [0, 1])
@@ -215,8 +215,6 @@ def test_fx_oracle_usable_as_circuit_block():
     # load key bits of k' = 1, x = 2, query the residual
     circ.x(0)
     circ.x(m + 1)
-    circ.oracle_block(
-        "f", fx, ins=list(range(m + n)), outs=list(range(m + n, m + 2 * n))
-    )
+    circ.oracle_block(fx, ins=list(range(m + n)), outs=list(range(m + n, m + 2 * n)))
     marg = marginal(sim.run(circ), list(range(m + n, m + 2 * n)))
     assert marg[fx.residual(1, 2)] == pytest.approx(1.0, abs=1e-12)

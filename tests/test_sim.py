@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from probes import basis_state, marginal, reduced_purity
 
-from qgms.circuit import Circuit, Gate
+from qgms.circuit import Circuit
 from qgms.sim import (
     QubitCapExceeded,
-    UnresolvedOracle,
     extract_bits,
     pack_bits,
     run,
@@ -113,22 +112,35 @@ def test_oracle_xor_semantics():
     fn = lambda x: (x + 1) & 3  # noqa: E731
     c = Circuit(4)
     c.x(1)  # input register holds 2
-    c.oracle_block("inc", fn, ins=[0, 1], outs=[2, 3])
+    c.oracle_block(fn, ins=[0, 1], outs=[2, 3])
     s = run(c)
     assert abs(s.amps[pack_bits([0, 1, 1, 1], [0, 1, 2, 3])]) ** 2 == pytest.approx(1.0)
     # Applying the block twice XORs the same value back out.
-    c.oracle_block("inc", fn, ins=[0, 1], outs=[2, 3])
+    c.oracle_block(fn, ins=[0, 1], outs=[2, 3])
     s = run(c)
     assert abs(s.amps[0b0010]) ** 2 == pytest.approx(1.0)
 
 
-def test_oracle_unbound_name_raises():
-    c = Circuit(2)
-    c.append(Gate("ORACLE", (1,), (0,), name="missing"))
-    with pytest.raises(UnresolvedOracle):
-        run(c)
-    with pytest.raises(UnresolvedOracle):
-        run_basis(c, 0)
+def test_oracle_is_called_once_per_input_when_built_and_never_when_run():
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return (3 * x + 1) & 3
+
+    c = Circuit(5)
+    c.x(0)
+    c.oracle_block(counted, ins=[0, 1, 4], outs=[2, 3])
+    assert calls == list(range(8))
+    c.h(4)  # the dense and sparse engines take an H; the trackers run the gates before it
+    perm = c.gates[:-1]
+    calls.clear()
+    run(c)
+    run_basis(Circuit(5, perm), 1)
+    run_basis_batch(perm, np.arange(32, dtype=np.int64))
+    run_basis_batch(perm, np.arange(32).astype(object))
+    sparse_apply({0: 1.0 + 0j}, c.gates)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +151,7 @@ def test_basis_tracker_matches_dense_exhaustive():
     rng = random.Random(11)
     for trial in range(5):
         c = random_circuit(rng, 5, 30, 0.0)
-        c.oracle_block("p", lambda x: (x * 2 + 1) & 7, ins=[0, 1, 2], outs=[3, 4])
+        c.oracle_block(lambda x: (x * 2 + 1) & 3, ins=[0, 1, 2], outs=[3, 4])
         for bits in range(1 << 5):
             out = run_basis(c, bits)
             s = run(c, basis_state(5, bits))
@@ -159,9 +171,9 @@ def test_sparse_support_is_bounded_by_the_qubit_cap(monkeypatch):
         c.h(q)
     monkeypatch.setenv("QGMS_QUBIT_CAP", "4")
     with pytest.raises(QubitCapExceeded):
-        sparse_apply({0: 1.0 + 0j}, c.gates, c.oracles)
+        sparse_apply({0: 1.0 + 0j}, c.gates)
     monkeypatch.setenv("QGMS_QUBIT_CAP", "5")
-    state = sparse_apply({0: 1.0 + 0j}, c.gates, c.oracles)
+    state = sparse_apply({0: 1.0 + 0j}, c.gates)
     assert len(state) == 32  # 2^cap entries is allowed
 
 
@@ -169,11 +181,11 @@ def test_batched_tracker_rejects_non_permutations_and_wide_gates():
     c = Circuit(1)
     c.h(0)
     with pytest.raises(ValueError, match="not a permutation gate"):
-        run_basis_batch(c.gates, {}, np.zeros(1, dtype=np.int64))
+        run_basis_batch(c.gates, np.zeros(1, dtype=np.int64))
     wide = Circuit(64)
     wide.x(63)
     with pytest.raises(ValueError, match="63 qubits"):
-        run_basis_batch(wide.gates, {}, np.zeros(1, dtype=np.int64))
+        run_basis_batch(wide.gates, np.zeros(1, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +197,7 @@ def test_sparse_matches_dense_random_circuits():
     for trial in range(4):
         c = random_circuit(rng, 7, 60, 0.25)
         dense = run(c, basis_state(7, 5))
-        sparse = as_dense(sparse_apply({5: 1.0 + 0j}, c.gates, c.oracles), 7)
+        sparse = as_dense(sparse_apply({5: 1.0 + 0j}, c.gates), 7)
         assert np.allclose(dense.amps, sparse, atol=1e-10)
 
 
@@ -196,7 +208,7 @@ def test_sparse_support_collapses_after_uncompute():
     c.cnot(0, 1)
     c.cnot(0, 1)
     c.h(0)
-    state = sparse_apply({0: 1.0 + 0j}, c.gates, c.oracles)
+    state = sparse_apply({0: 1.0 + 0j}, c.gates)
     assert set(state) == {0}
     assert state[0] == pytest.approx(1.0)
 
