@@ -14,6 +14,7 @@ count does not depend on which s is chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +26,11 @@ class EnumerationTooLarge(Exception):
 
 
 BRUTE_LIMIT = 5
+# Matrices ranked per chunk of the brute count: n = 5 takes 16 chunks and
+# n <= 4 one, so a gms report below n = 5 starts no thread.
+_COUNT_CHUNK = 1 << 16
+# Threads of the brute count's pool, one per core of a two-core host.
+_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -52,11 +58,10 @@ def _hyperplane(n: int, s: int) -> list[int]:
 def brute_count_rank_n_minus_1(n: int, s: int = 1) -> int:
     """Enumerate every row choice and count rank-(n-1) outcomes.
 
-    Every matrix gets an XOR basis, built for all of them at once: each
-    row is reduced against the basis from its top bit down, and once it
-    reaches a set bit b that has no basis vector yet, the reduced row
-    becomes basis vector b. The rank is the number of basis vectors. One
-    vectorized pass per row and bit covers the whole enumeration.
+    The 2^((n-1)n) matrices are ranked in chunks of ``_COUNT_CHUNK``
+    (see ``_chunk_hits``). An enumeration of one chunk runs in the
+    calling thread; a longer one is shared by a pool of ``_WORKERS``
+    threads, whose integer counts add up to the same total in any order.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -66,12 +71,30 @@ def brute_count_rank_n_minus_1(n: int, s: int = 1) -> int:
         )
     if not 0 < s < (1 << n):
         raise ValueError("s must be a nonzero n-bit value")
-    hyperplane = np.array(_hyperplane(n, s), dtype=np.uint8)
+    hits = partial(_chunk_hits, np.array(_hyperplane(n, s), dtype=np.uint8), n)
+    starts = range(0, 1 << ((n - 1) * n), _COUNT_CHUNK)
+    if len(starts) == 1:
+        return hits(0)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        return sum(pool.map(hits, starts))
+
+
+def _chunk_hits(hyperplane: np.ndarray, n: int, start: int) -> int:
+    """How many of the ``_COUNT_CHUNK`` matrices from ``start`` have rank n-1.
+
+    Matrix k takes row i from entry (k >> (n-1)i) mod 2^(n-1) of
+    ``hyperplane``. Every matrix gets an XOR basis, built for all of them
+    at once: each row is reduced against the basis from its top bit down,
+    and once it reaches a set bit b that has no basis vector yet, the
+    reduced row becomes basis vector b. The rank is the number of basis
+    vectors. One vectorized pass per row and bit covers the chunk.
+    """
     bits = n - 1
     mask = (1 << bits) - 1
-    total = 1 << (bits * n)
-    index = np.arange(total, dtype=np.int64)
-    basis = np.zeros((n, total), dtype=np.uint8)
+    index = np.arange(start, min(start + _COUNT_CHUNK, 1 << (bits * n)), dtype=np.int64)
+    basis = np.zeros((n, len(index)), dtype=np.uint8)
     for i in range(n):
         x = hyperplane[(index >> (bits * i)) & mask]
         for b in reversed(range(n)):

@@ -34,9 +34,10 @@ one gate of the set that does not permute basis states:
   swaps, three CNOTs each, planned as gates at both ends of the
   relabelled circuit, so they join its first and last runs. Only storage
   order changes, so every amplitude is bit-identical to an unrelabelled
-  run. A plan kept as a list applies to any number of column blocks; the
-  norm check of ``verify`` runs its 100 random states through one plan,
-  ten columns at a time. Memory is 2^q complex doubles per column, so a
+  run. A plan kept as a list applies to any number of column blocks, and
+  it is only read, so threads may apply it at once; the norm check of
+  ``verify`` runs its 100 random states through one plan, five columns at
+  a time on two threads. Memory is 2^q complex doubles per column, so a
   configurable qubit cap guards against accidental blowups.
 * ``sparse_apply`` keeps a dict of nonzero amplitudes. A permutation run
   relabels its keys in one kernel call and keeps the dict's order.

@@ -194,32 +194,71 @@ def _solver_equivalence(jordan: bool) -> Check:
     return Check(name, bad == 0, f"{len(cases)} systems, {bad} mismatches")
 
 
-# Columns per block of the norm check. Over the six circuits, widths 8-20
-# ran equally fast and 5 or 50+ slower; a block of 10 states at 2^16
-# amplitudes (kernel_2x2) is 10 MB. No block may hold a single column:
-# numpy sums a lone column's norm in another order, so its bits differ.
-_NORM_BLOCK = 10
+# Columns per block of the norm check. Under two workers, in fresh
+# ``verify circuits`` runs on a 2-core Xeon (medians of 10), widths 4, 5
+# and 10 took 1.45-1.48 s and widths 2 and 20 1.52-1.58 s, while the peak
+# RSS grew with the width: 149, 156, 166 and 187 MB at 2, 5, 10 and 20,
+# as each worker holds one block's gathered copy (5 MB at width 5 and
+# 2^16 amplitudes, kernel_2x2). No block may hold a single column: numpy
+# sums a lone column's norm in another order, so its bits differ.
+_NORM_BLOCK = 5
 # Rows of the (2^q, count) draw taken from the generator at a time.
 _DRAW_ROWS = 4096
+# Rows per tile of ``_col_norms``: a (2049, 5) complex buffer is 160 kB.
+# Tiles of 1024-8192 rows ran equally fast in the runs above, 512 slower.
+_NORM_TILE = 2048
+# Threads of the norm check's pool, one per core of a two-core host.
+_WORKERS = 2
+
+
+def _col_norms(x):
+    """``np.linalg.norm(x, axis=0)`` of a 2-D complex ``x``, bit for bit.
+
+    numpy forms ``(x.conj() * x).real`` in two full-size complex
+    temporaries and sums it over axis 0 row by row. Here the same
+    products are formed one row tile at a time in a small buffer whose
+    row 0 carries the running sums into the next tile's sum (zeros for
+    the first tile, and 0.0 + p is p), so the additions happen in the same
+    order on the same values.
+    """
+    import numpy as np
+
+    rows, width = x.shape
+    buf = np.empty((min(_NORM_TILE, rows) + 1, width), dtype=np.complex128)
+    total = np.zeros(width)
+    for row in range(0, rows, _NORM_TILE):
+        tile = x[row : row + _NORM_TILE]
+        prod = buf[: len(tile) + 1]
+        prod[0].real = total
+        np.conjugate(tile, out=prod[1:])
+        np.multiply(prod[1:], tile, out=prod[1:])
+        np.add.reduce(prod.real, axis=0, out=total)
+    return np.sqrt(total)
 
 
 def _norm_deviation(circ, count: int, seed: int) -> float:
     """Largest |norm - 1| over ``count`` random unit states run through ``circ``.
 
     The states are the columns of one (2^q, count) batch of normals, real
-    parts then imaginary parts, drawn in row chunks straight into a
-    block-major buffer: block b holds columns b*_NORM_BLOCK onward as one
-    contiguous (2^q, _NORM_BLOCK) array, normalised and run in place
-    through one plan of the circuit (which stores the state with every
-    H/phase target on its outer qubits; see ``sim.dense_steps``). Each
+    parts then imaginary parts, drawn in row chunks into a block-major
+    buffer: block b holds columns b*_NORM_BLOCK onward as one contiguous
+    (2^q, _NORM_BLOCK) array. A pool of ``_WORKERS`` threads copies each
+    chunk into its blocks while the generator draws the next one (the
+    same calls in the same order), then normalises each block and runs it
+    in place through one plan of the circuit (which stores the state with
+    every H target on its outer qubits; see ``sim.dense_steps``). Each
     column's norm and amplitudes do not depend on which columns share its
-    block, so the result equals one run of the whole batch bit for bit.
+    block or which thread runs it, and the largest deviation does not
+    depend on the order the blocks finish in, so the result equals one run
+    of the whole batch bit for bit.
 
     Raises:
         ValueError: if ``count`` is not a multiple of ``_NORM_BLOCK``.
     """
     if count % _NORM_BLOCK:
         raise ValueError(f"count must be a multiple of {_NORM_BLOCK}, got {count}")
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     from . import sim
@@ -228,16 +267,28 @@ def _norm_deviation(circ, count: int, seed: int) -> float:
     size = 1 << circ.qubit_count
     rng = np.random.default_rng(seed)
     z = np.empty((count // _NORM_BLOCK, size, _NORM_BLOCK), dtype=np.complex128)
-    for part in (z.real, z.imag):
-        for row in range(0, size, _DRAW_ROWS):
-            chunk = rng.standard_normal((min(_DRAW_ROWS, size - row), count))
-            rows = chunk.reshape(len(chunk), -1, _NORM_BLOCK)
-            part[:, row : row + len(chunk)] = rows.transpose(1, 0, 2)
-    worst = 0.0
-    for block in z:
-        block /= np.linalg.norm(block, axis=0, keepdims=True)
+
+    def copy(part, row, chunk):
+        rows = chunk.reshape(len(chunk), -1, _NORM_BLOCK)
+        part[:, row : row + len(chunk)] = rows.transpose(1, 0, 2)
+
+    def deviation(block):
+        block /= _col_norms(block)
         out = sim.apply_steps(steps, block)
-        worst = max(worst, float(np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0))))
+        return float(np.max(np.abs(_col_norms(out) - 1.0)))
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        copied = None
+        for part in (z.real, z.imag):
+            for row in range(0, size, _DRAW_ROWS):
+                chunk = rng.standard_normal((min(_DRAW_ROWS, size - row), count))
+                if copied is not None:
+                    copied.result()
+                copied = pool.submit(copy, part, row, chunk)
+        copied.result()
+        worst = 0.0
+        for dev in pool.map(deviation, z):
+            worst = max(worst, dev)
     return worst
 
 

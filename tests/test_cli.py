@@ -325,3 +325,35 @@ def test_synth_runs_without_the_collector_and_restores_it(
         else:
             gc.disable()
     assert seen == [False]
+
+
+_POOL_CHECKPOINTS = """
+import contextlib, io, json, sys
+import qgms.cli
+loaded = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qgms.cli.main(["gms", "--m", "1", "--n", "4", "--l", "1", "--t-max", "1",
+                            "--out", sys.argv[1]])]
+loaded["qgms gms --n 4"] = "concurrent.futures" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(qgms.cli.main(["verify", "counting"]))
+loaded["qgms verify counting"] = "concurrent.futures" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_gms_report_runs_its_count_in_the_calling_thread(tmp_path):
+    """A gms report counts at n <= 4, one chunk, so it loads no thread pool;
+    the n = 5 count of ``verify counting`` does (fresh interpreter, since
+    pytest may have loaded ``concurrent.futures`` already)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_CHECKPOINTS, str(tmp_path / "o")],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "codes": [0, 0],
+        "loaded": {"qgms gms --n 4": False, "qgms verify counting": True},
+    }

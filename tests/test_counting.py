@@ -102,3 +102,13 @@ def test_xor_basis_count_matches_span_sort_for_every_s():
 def test_exhaustive_n5_count_is_hyperplane_independent():
     for s in (6, 19, 31):
         assert brute_count_rank_n_minus_1(5, s) == 624960
+
+
+def test_chunked_count_with_a_partial_last_chunk(monkeypatch):
+    from qgms import counting
+
+    monkeypatch.setattr(counting, "_COUNT_CHUNK", 1000)
+    for n in (2, 3, 4):
+        for s in range(1, 1 << n):
+            assert brute_count_rank_n_minus_1(n, s) == rank_deficit_one_formula(n), (n, s)
+    assert brute_count_rank_n_minus_1(5) == 624960
