@@ -49,6 +49,7 @@ class DegenerateUnmarkedMean(Exception):
 
 
 POPULATION_WARN_RATIO = 0.1
+HYBRID_REPS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +299,7 @@ def _check_round(
     flip: np.ndarray,
     amps: np.ndarray,
 ) -> None:
-    """Prove that one round of ``circ`` is the operator ``run_gms`` applies.
+    """Prove that one round of ``circ`` is the operator ``analysis_report`` applies.
 
     That operator negates the data states on ``flip`` and then reflects
     the data register about its mean. Compute and uncompute are
@@ -331,37 +332,8 @@ def _check_round(
         raise RuntimeError("scratch register failed to uncompute")
 
 
-def _search(cfg: GmsConfig, amps: np.ndarray, flip, success, t_max: int) -> list[float]:
-    """Prove one round, then apply it t_max times to ``amps``, which it negates in place."""
-    circ, slices = build_gms_circuit(cfg)
-    _check_round(cfg, circ, slices, flip, amps)
-    curve = [float(np.sum(np.abs(amps[success]) ** 2))]
-    for _ in range(t_max):
-        amps[flip] *= -1.0
-        amps = 2.0 * amps.mean() - amps
-        curve.append(float(np.sum(np.abs(amps[success]) ** 2)))
-    return curve
-
-
-def run_gms(cfg: GmsConfig, t_max: int) -> list[float]:
-    """Exact success probability of the deferred-measurement search.
-
-    Returns the probability of measuring the correct key together with
-    accepted y rows, for iteration counts t = 0..t_max. No measurement
-    happens along the way; t = 0 is the freshly prepared state.
-
-    It first proves that one round of ``build_gms_circuit`` is a sign
-    flip on ``classifier_mask`` followed by a reflection about the
-    data-register mean, then applies that operator directly.
-    ``run_gms_per_gate`` is the reference it is tested against.
-    """
-    amps = prepare_initial_state(cfg).amps
-    flip, success, _ = _masks(cfg)
-    return _search(cfg, amps, flip, success, t_max)
-
-
 def run_gms_per_gate(cfg: GmsConfig, t_max: int) -> list[float]:
-    """The ``run_gms`` curve from ``build_gms_circuit`` run gate by gate.
+    """The ``analysis_report`` curve from ``build_gms_circuit`` run gate by gate.
 
     The sparse engine runs it: the pooled scratch qubits take the circuit
     past the cap while the state stays sparse. Raises RuntimeError if
@@ -385,13 +357,12 @@ def run_gms_per_gate(cfg: GmsConfig, t_max: int) -> list[float]:
             raise RuntimeError("scratch register failed to uncompute")
         return mass
 
-    lo, hi = slices["prep"]
-    round_lo, round_hi = slices["compute"][0], slices["diffusion"][1]
-    state: dict[int, complex] = {0: 1.0 + 0.0j}
-    state = sim.sparse_apply(state, circ.gates[lo:hi])
+    # the gates after the prep slice are one round
+    prep_end = slices["prep"][1]
+    state = sim.sparse_apply({0: 1.0 + 0.0j}, circ.gates[:prep_end])
     curve = [marked_mass(state)]
     for _ in range(t_max):
-        state = sim.sparse_apply(state, circ.gates[round_lo:round_hi])
+        state = sim.sparse_apply(state, circ.gates[prep_end:])
         curve.append(marked_mass(state))
     return curve
 
@@ -725,14 +696,14 @@ def _hybrid_table(cfg: GmsConfig) -> np.ndarray:
     return _passes(cfg) @ orthogonal_table(cfg.n, cfg.l).T
 
 
-def hybrid_baseline(cfg: GmsConfig, reps: int = 4) -> HybridReport:
+def hybrid_baseline(cfg: GmsConfig) -> HybridReport:
     """Immediate measurement plus classical search over keys, solved exactly.
 
     Per key, the accept probability is summed over the exact y-row
     distribution of l measured rounds. A key counts as marked when any of
-    `reps` independent rounds accepts; the reported success is the chance
-    that exactly the true key is marked and the key search finds it at its
-    best iteration count t_star.
+    ``HYBRID_REPS`` independent rounds accepts; the reported success is the
+    chance that exactly the true key is marked and the key search finds it
+    at its best iteration count t_star.
     """
     accept = _hybrid_table(cfg)
     accept_probs = []
@@ -754,14 +725,14 @@ def hybrid_baseline(cfg: GmsConfig, reps: int = 4) -> HybridReport:
     sweep = int(math.ceil((math.pi / 4) * math.sqrt(n_keys))) + 2
     t_star = max(range(sweep + 1), key=lambda t: grover_probability(n_keys, 1, t))
     grover_p = grover_probability(n_keys, 1, t_star)
-    success = (1.0 - (1.0 - p_true) ** reps) * grover_p
+    success = (1.0 - (1.0 - p_true) ** HYBRID_REPS) * grover_p
     for p in wrong:
-        success *= (1.0 - p) ** reps
+        success *= (1.0 - p) ** HYBRID_REPS
     return HybridReport(
         tuple(accept_probs),
         p_true,
         false_positive_keys,
-        reps,
+        HYBRID_REPS,
         t_star,
         grover_p,
         success,
@@ -775,15 +746,23 @@ def hybrid_baseline(cfg: GmsConfig, reps: int = 4) -> HybridReport:
 def analysis_report(cfg: GmsConfig, t_max: int) -> dict:
     """Everything the command-line report needs, as one JSON-ready dict.
 
-    It prepares the state and splits the masks once, and takes the statistics
-    before the search, which negates the prepared amplitudes in place.
+    ``t_curve`` is the exact success probability (correct key, accepted y rows)
+    after t = 0..t_max rounds with nothing measured; ``_check_round`` first
+    proves one round of ``build_gms_circuit`` is the operator they apply. The
+    statistics come first, as the rounds negate the prepared amplitudes in place.
     """
     amps = prepare_initial_state(cfg).amps
     flip, success, rank_only = _masks(cfg)
     stats = amplitude_stats(amps, success)
     accept_stats = amplitude_stats(amps, flip)
     rank_stats = amplitude_stats(amps, rank_only)
-    curve = _search(cfg, amps, flip, success, t_max)
+    circ, slices = build_gms_circuit(cfg)
+    _check_round(cfg, circ, slices, flip, amps)
+    curve = [float(np.sum(np.abs(amps[success]) ** 2))]
+    for _ in range(t_max):
+        amps[flip] *= -1.0
+        amps = 2.0 * amps.mean() - amps
+        curve.append(float(np.sum(np.abs(amps[success]) ** 2)))
     ideal = two_to_one_model(cfg.m, cfg.n, cfg.l)
     report_warnings: list[str] = []
     try:

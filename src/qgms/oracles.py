@@ -125,10 +125,12 @@ def build_fx_oracle(
 
 @lru_cache(maxsize=32)
 def _permutation_family(m: int, n: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    # one allocation for the whole family, so one that cannot fit fails at once
+    table = np.empty((1 << m, 1 << n), np.int64)
     gen = np.random.default_rng(seed)
-    return tuple(
-        tuple(int(v) for v in gen.permutation(1 << n)) for _ in range(1 << m)
-    )
+    for row in table:
+        row[:] = gen.permutation(1 << n)
+    return tuple(map(tuple, table.tolist()))
 
 
 def y_marginal(table: list[int] | tuple[int, ...], n: int) -> list[float]:

@@ -25,7 +25,6 @@ from qgms.analysis import (
     prepare_initial_state,
     query_ratio,
     required_qubits,
-    run_gms,
     run_gms_per_gate,
     success_mask,
     two_to_one_model,
@@ -40,6 +39,11 @@ FIXTURE = dict(m=2, n=2, key=2, k1=3, k2=1, cipher_seed=72)
 
 def fixture_cfg(**overrides):
     return GmsConfig(2, 2, 2, build_fx_oracle(**FIXTURE), **overrides)
+
+
+def report_curve(cfg, t_max):
+    """The success curve of ``analysis_report``, probabilities only."""
+    return [p for _, p in analysis_report(cfg, t_max)["t_curve"]]
 
 
 def parity(x):
@@ -210,7 +214,7 @@ def test_curve_starts_at_initial_marked_mass():
     cfg = fixture_cfg()
     state = prepare_initial_state(cfg)
     expected = float((np.abs(state.amps[success_mask(cfg)]) ** 2).sum())
-    curve = run_gms(cfg, t_max=0)
+    curve = report_curve(cfg, t_max=0)
     assert curve == [pytest.approx(expected, abs=1e-12)]
     assert expected == pytest.approx(0.0, abs=1e-12)
 
@@ -219,7 +223,7 @@ def test_curve_respects_ceiling_and_stays_low():
     cfg = fixture_cfg()
     state = prepare_initial_state(cfg)
     stats = amplitude_stats(state.amps, success_mask(cfg))
-    curve = run_gms(cfg, t_max=6)
+    curve = report_curve(cfg, t_max=6)
     assert max(curve) < 0.5
     assert max(curve) < stats.p_max + 1e-8
     assert max(curve) > 0.0
@@ -228,7 +232,7 @@ def test_curve_respects_ceiling_and_stays_low():
 def test_engines_agree():
     fx = build_fx_oracle(m=2, n=2, key=1, k1=3, k2=1, cipher_seed=72)
     cfg = GmsConfig(2, 2, 1, fx)
-    operator = run_gms(cfg, t_max=3)
+    operator = report_curve(cfg, t_max=3)
     per_gate = run_gms_per_gate(cfg, t_max=3)
     assert operator == pytest.approx(per_gate, abs=1e-12)
 
@@ -242,10 +246,8 @@ def test_round_proof_rejects_a_wrong_accept_bit(monkeypatch):
         return accept
 
     monkeypatch.setattr(analysis, "_accept_table", one_entry_flipped)
-    # run_gms, and analysis_report, the path ``qgms gms`` takes
-    for run in (run_gms, analysis_report):
-        with pytest.raises(RuntimeError, match="classifier mask"):
-            run(fixture_cfg(), t_max=1)
+    with pytest.raises(RuntimeError, match="classifier mask"):
+        analysis_report(fixture_cfg(), t_max=1)
 
 
 @pytest.mark.parametrize(
@@ -271,7 +273,7 @@ def test_round_proof_rejects_a_missing_gate(monkeypatch, piece, offset, message)
 
     monkeypatch.setattr(analysis, "build_gms_circuit", circuit_missing_a_gate)
     with pytest.raises(RuntimeError, match=message):
-        run_gms(fixture_cfg(), t_max=1)
+        analysis_report(fixture_cfg(), t_max=1)
     if piece == "uncompute":
         # the per-gate reference sees the dirty scratch once the state has
         # marked mass, which the fixture's prepared state lacks (t = 1)
@@ -295,7 +297,7 @@ def test_cap_enforced():
     cfg = GmsConfig(8, 8, 8, fx)
     assert required_qubits(cfg.m, cfg.n, cfg.l) == 145
     with pytest.raises(sim.QubitCapExceeded):
-        run_gms(cfg, t_max=1)
+        analysis_report(cfg, t_max=1)
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +527,12 @@ def test_hybrid_accept_enumerates_kernel():
 def test_hybrid_success_formula_consistency():
     fx = build_fx_oracle(m=2, n=2, key=2, k1=3, k2=1, cipher_seed=7)
     cfg = GmsConfig(2, 2, 2, fx)
-    hyb = hybrid_baseline(cfg, reps=3)
-    expect = (1 - (1 - hyb.p_true) ** 3) * hyb.grover_p
+    hyb = hybrid_baseline(cfg)
+    assert hyb.reps == 4
+    expect = (1 - (1 - hyb.p_true) ** hyb.reps) * hyb.grover_p
     for kp, p in enumerate(hyb.accept_probs):
         if kp != fx.key:
-            expect *= (1 - p) ** 3
+            expect *= (1 - p) ** hyb.reps
     assert hyb.success == pytest.approx(expect, abs=1e-12)
     assert 0.0 <= hyb.success <= 1.0
 
@@ -557,7 +560,7 @@ def test_report_schema_and_determinism():
     ids=["fixture", "c_check=1"],
 )
 def test_report_prepares_once_and_equals_the_pieces(monkeypatch, cfg):
-    calls = {"prepare_initial_state": 0, "_masks": 0}
+    calls = {"prepare_initial_state": 0, "_masks": 0, "build_gms_circuit": 0}
     for name in calls:
         real = getattr(analysis, name)
 
@@ -575,7 +578,7 @@ def test_report_prepares_once_and_equals_the_pieces(monkeypatch, cfg):
 
     monkeypatch.setattr(analysis, "amplitude_stats", recorded)
     rep = analysis_report(cfg, t_max=3)
-    assert calls == {"prepare_initial_state": 1, "_masks": 1}
+    assert calls == {"prepare_initial_state": 1, "_masks": 1, "build_gms_circuit": 1}
     monkeypatch.undo()
 
     amps = prepare_initial_state(cfg).amps
@@ -585,11 +588,19 @@ def test_report_prepares_once_and_equals_the_pieces(monkeypatch, cfg):
     ybits = sim.extract_bits(idx, [q for y in ys for q in y])
     correct = sim.extract_bits(idx, key) == cfg.oracle.key
     rank_only = (analysis._kernel_vector(cfg.n, cfg.l) != 0)[ybits] & correct
-    accept = amplitude_stats(amps, classifier_mask(cfg))
+    flip, success = classifier_mask(cfg), success_mask(cfg)
+    accept = amplitude_stats(amps, flip)
     rank = amplitude_stats(amps, rank_only)
+    # the round operator: a sign flip on the accept mask, then the reflection about the mean
+    state = amps.copy()
+    curve = [float(np.sum(np.abs(state[success]) ** 2))]
+    for _ in range(3):
+        state[flip] *= -1.0
+        state = 2.0 * state.mean() - state
+        curve.append(float(np.sum(np.abs(state[success]) ** 2)))
     pieces = {
-        **amplitude_stats(amps, success_mask(cfg)).as_dict(),
-        "t_curve": [[t, p] for t, p in enumerate(run_gms(cfg, t_max=3))],
+        **amplitude_stats(amps, success).as_dict(),
+        "t_curve": [[t, p] for t, p in enumerate(curve)],
         "r_phase_marked": accept.marked,
         "p_max_phase_marked": accept.p_max,
         "r_rank_only": rank.marked,

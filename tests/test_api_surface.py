@@ -20,7 +20,6 @@ ALLOWED = {
     "sim.run_basis": "scalar reference the tests compare the batched kernel against",
     "analysis.ug_classifier": "scalar reference the tests compare the accept table against",
     "analysis.hybrid_accept": "scalar reference the tests compare the hybrid baseline against",
-    "analysis.run_gms": "perfbench traces it by its dotted name, and the tests compare to it",
 }
 
 

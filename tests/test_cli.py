@@ -10,7 +10,7 @@ import sys
 import pytest
 
 
-def run_cli(args, cwd, env_extra=None, preexec_fn=None):
+def run_cli(args, cwd, env_extra=None, preexec_fn=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -21,6 +21,7 @@ def run_cli(args, cwd, env_extra=None, preexec_fn=None):
         capture_output=True,
         text=True,
         preexec_fn=preexec_fn,
+        timeout=timeout,
     )
 
 
@@ -190,22 +191,25 @@ def _limit_address_space(limit):
 
 
 @pytest.mark.parametrize(
-    "args, limit",
+    "args, limit, timeout",
     [
         # one array the 2 GB cannot hold, asked for at once
-        (["gms", "--m", "2", "--n", "6", "--l", "4"], 2 << 30),
-        (["verify", "deferred", "--n", "6", "--l", "8"], 2 << 30),
+        (["gms", "--m", "2", "--n", "6", "--l", "4"], 2 << 30, None),
+        (["verify", "deferred", "--n", "6", "--l", "8"], 2 << 30, None),
         # the widest shape the highest cap admits: 58 qubits, a 2^55-entry state
-        (["gms", "--m", "3", "--n", "2", "--l", "13"], 2 << 30),
+        (["gms", "--m", "3", "--n", "2", "--l", "13"], 2 << 30, None),
         # millions of gates, whose lists outgrow 200 MB within seconds
-        (["synth", "qge", "--n", "200"], 200 << 20),
+        (["synth", "qge", "--n", "200"], 200 << 20, None),
+        # 2^40 cipher permutations (47 qubits): the family must fail at its one
+        # allocation, not grow row by row until the host runs out
+        (["gms", "--m", "40", "--n", "2", "--l", "1"], 2 << 30, 60),
     ],
-    ids=["gms", "deferred", "gms-widest", "synth"],
+    ids=["gms", "deferred", "gms-widest", "synth", "gms-key-family"],
 )
-def test_failed_allocation_under_a_raised_cap_exits_3(tmp_path, args, limit):
+def test_failed_allocation_under_a_raised_cap_exits_3(tmp_path, args, limit, timeout):
     """What the cap allows but the host cannot allocate exits 3, not 1."""
     env = {"QGMS_QUBIT_CAP": "58"}
-    proc = run_cli(args, tmp_path, env, _limit_address_space(limit))
+    proc = run_cli(args, tmp_path, env, _limit_address_space(limit), timeout)
     assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
