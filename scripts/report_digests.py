@@ -61,15 +61,23 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def verify_digest(stdout: str) -> str:
+    """sha256 of a ``verify`` stdout without its wall-clock ``elapsed_s``.
+
+    The payload is re-dumped with sorted keys, so the digest covers the
+    checks alone. Standard library only: CI calls it without numpy.
+    """
+    payload = json.loads(stdout)
+    del payload["elapsed_s"]
+    return sha256((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+
+
 def digests(root: Path):
     """Yield (output name, sha256) for every pinned output."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for suite in SUITES:
-            payload = json.loads(qgms(root, ["verify", suite], out))
-            del payload["elapsed_s"]
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            yield f"verify_{suite}", sha256(text.encode())
+            yield f"verify_{suite}", verify_digest(qgms(root, ["verify", suite], out))
         for m, n, l in GMS_SHAPES:
             run = out / f"gms_m{m}_n{n}_l{l}"
             qgms(root, ["gms", "--m", str(m), "--n", str(n), "--l", str(l), "--out", str(run)], out)

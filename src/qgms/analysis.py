@@ -32,13 +32,14 @@ import numpy as np
 from . import sim
 from .amplify import grover_probability
 from .circuit import Circuit, Gate
-from .gf2 import BitMatrix, BitVector, nullspace_basis, orthogonal_table, parity, rank
+from .gf2 import BitMatrix, nullspace_basis, orthogonal_table, parity
 from .counting import count_rank_n_minus_1, rank_deficit_one_formula
 from .oracles import (
     FxOracle,
     build_simon_oracle,
     parallel_simon_circuit,
     period_finding_rounds,
+    round_blocks,
     y_marginal,
 )
 from .synth import _Builder, kernel_core
@@ -85,13 +86,8 @@ class GmsConfig:
         return list(range(self.c_check))
 
     def layout(self) -> tuple[list[int], list[list[int]], list[list[int]]]:
-        key = list(range(self.m))
-        ys, fs = [], []
-        for j in range(self.l):
-            base = self.m + 2 * self.n * j
-            ys.append(list(range(base, base + self.n)))
-            fs.append(list(range(base + self.n, base + 2 * self.n)))
-        return key, ys, fs
+        """Key qubits 0..m-1, then the rounds' y and f blocks from qubit m."""
+        return (list(range(self.m)), *round_blocks(self.m, self.n, self.l))
 
 
 def required_qubits(m: int, n: int, l: int) -> int:
@@ -137,20 +133,18 @@ def prepare_initial_state(cfg: GmsConfig) -> sim.StateVector:
 def ug_classifier(k_prime, y_matrix: BitMatrix, oracle: FxOracle, plaintexts) -> int:
     """1 iff the y rows pin down a single candidate period that checks out.
 
-    The rank must be exactly n-1 so the kernel holds one nonzero vector s;
-    the oracle residual at k' must then collide on p and p xor s for every
-    provided plaintext p. Anything else returns 0.
+    The kernel basis must hold exactly one vector s (rank n-1); the oracle
+    residual at the integer key k' must then collide on p and p xor s for
+    every provided plaintext p. Anything else returns 0.
     """
     if not plaintexts:
         raise ValueError("plaintexts must be nonempty")
-    kp = k_prime.bits if isinstance(k_prime, BitVector) else int(k_prime)
-    n = y_matrix.cols
-    if rank(y_matrix) != n - 1:
-        return 0
     basis = nullspace_basis(y_matrix)
+    if len(basis) != 1:
+        return 0
     s = basis[0].bits
     for p in plaintexts:
-        if oracle.residual(kp, p) != oracle.residual(kp, p ^ s):
+        if oracle.residual(k_prime, p) != oracle.residual(k_prime, p ^ s):
             return 0
     return 1
 
@@ -494,10 +488,9 @@ def character_sum(ys, n: int) -> int:
     """
     total = 1
     for y in ys:
-        yv = y.bits if isinstance(y, BitVector) else int(y)
         inner = 0
         for x in range(1 << n):
-            inner += -1 if parity(x & yv) else 1
+            inner += -1 if parity(x & y) else 1
         total *= inner
     return total
 
@@ -510,13 +503,12 @@ def coset_character_sum(y, n: int, s: int) -> int:
     """
     if not 0 < s < (1 << n):
         raise ValueError("s must be a nonzero n-bit value")
-    yv = y.bits if isinstance(y, BitVector) else int(y)
     pivot = (s & -s).bit_length() - 1
     total = 0
     for x in range(1 << n):
         if (x >> pivot) & 1:
             continue
-        total += -1 if parity(x & yv) else 1
+        total += -1 if parity(x & y) else 1
     return total
 
 
@@ -600,8 +592,8 @@ def _row_distribution(per_copy, n: int, l: int):
 
 @dataclass(frozen=True)
 class DeferredComparison:
-    dist_immediate: dict
-    dist_deferred: dict
+    """Distance of the two joint distributions, P(correct period) and r."""
+
     max_abs_diff: float
     p_correct: float
     r: int
@@ -621,10 +613,10 @@ def deferred_vs_immediate(n: int, l: int, s: int, seed: int = 0) -> DeferredComp
     kernel = _kernel_vector(n, l)
     oracle = build_simon_oracle(n, s, rng=seed)
     per_copy = y_marginal(oracle.table, n)
-    dist_immediate: dict[tuple[int, int], float] = {}
+    immediate: dict[tuple[int, int], float] = {}
     for ybits, p in _row_distribution(per_copy, n, l):
         key = (ybits, int(kernel[ybits]))
-        dist_immediate[key] = dist_immediate.get(key, 0.0) + p
+        immediate[key] = immediate.get(key, 0.0) + p
 
     # deferred: rounds, then the reversible kernel solver, measured at the end
     circ = parallel_simon_circuit(oracle, l)
@@ -637,22 +629,22 @@ def deferred_vs_immediate(n: int, l: int, s: int, seed: int = 0) -> DeferredComp
     state: dict[int, complex] = {0: 1.0 + 0.0j}
     state = sim.sparse_apply(state, circ.gates)
     y_qubits = [q for y in ys for q in y]  # row j lands on bits n*j..n*j+n-1
-    dist_deferred: dict[tuple[int, int], float] = {}
+    deferred: dict[tuple[int, int], float] = {}
     for idx, amp in state.items():
         w = (amp * amp.conjugate()).real
         if w == 0.0:
             continue
         key = (sim.extract_bits(idx, y_qubits), sim.extract_bits(idx, s_out))
-        dist_deferred[key] = dist_deferred.get(key, 0.0) + w
+        deferred[key] = deferred.get(key, 0.0) + w
 
-    keys = set(dist_immediate) | set(dist_deferred)
+    keys = set(immediate) | set(deferred)
     max_abs_diff = max(
-        abs(dist_immediate.get(k, 0.0) - dist_deferred.get(k, 0.0)) for k in keys
+        abs(immediate.get(k, 0.0) - deferred.get(k, 0.0)) for k in keys
     )
 
     r = int(np.count_nonzero(kernel == s))
-    p_correct = sum(p for (ybits, sv), p in dist_immediate.items() if sv == s)
-    return DeferredComparison(dist_immediate, dist_deferred, max_abs_diff, p_correct, r)
+    p_correct = sum(p for (ybits, sv), p in immediate.items() if sv == s)
+    return DeferredComparison(max_abs_diff, p_correct, r)
 
 
 # ---------------------------------------------------------------------------

@@ -166,30 +166,19 @@ def row_echelon_xor_trace(a: BitMatrix) -> BitMatrix:
 def rref(a: BitMatrix) -> Rref:
     """Reduced row echelon form (canonical: unique per row space).
 
-    Returns:
-        Rref with the reduced matrix and the list of pivot columns.
+    ``row_echelon`` plus one upward pass: each nonzero row clears its
+    leading column, a pivot column, in the rows above it.
     """
-    m = a.copy()
+    m = row_echelon(a)
     pivots: list[int] = []
-    pivot_row = 0
-    for col in range(m.cols):
-        src = next(
-            (r for r in range(pivot_row, m.rows) if m.get(r, col)), None
-        )
-        if src is None:
-            continue
-        if src != pivot_row:
-            m.row_bits[pivot_row], m.row_bits[src] = (
-                m.row_bits[src],
-                m.row_bits[pivot_row],
-            )
-        for r in range(m.rows):
-            if r != pivot_row and m.get(r, col):
-                m.row_bits[r] ^= m.row_bits[pivot_row]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == m.rows:
+    for i, bits in enumerate(m.row_bits):
+        if bits == 0:
             break
+        col = (bits & -bits).bit_length() - 1
+        for r in range(i):
+            if m.get(r, col):
+                m.row_bits[r] ^= bits
+        pivots.append(col)
     return Rref(m, pivots)
 
 

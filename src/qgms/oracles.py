@@ -178,16 +178,19 @@ def period_finding_rounds(
             circ.h(q)
 
 
+def round_blocks(base: int, n: int, l: int) -> tuple[list[list[int]], list[list[int]]]:
+    """y and f blocks of l rounds side by side: round j's y block from base + 2nj."""
+    ys = [list(range(base + 2 * n * j, base + 2 * n * j + n)) for j in range(l)]
+    return ys, [[q + n for q in y] for y in ys]
+
+
 def parallel_simon_circuit(oracle: SimonOracle, l: int) -> Circuit:
     """l independent H / query / H rounds side by side (2nl qubits).
 
-    Round j occupies qubits 2nj..2n(j+1)-1: the first n start as its
-    query register and hold y afterwards, the last n hold the function
+    Blocks as ``round_blocks(0, n, l)``: each y block starts as its round's
+    query register and holds y afterwards, each f block holds the function
     value. Registers "y0", "f0", "y1", ... name the parts.
     """
-    n = oracle.n
-    circ = Circuit(2 * n * l)
-    ys = [list(range(2 * n * j, 2 * n * j + n)) for j in range(l)]
-    fs = [list(range(2 * n * j + n, 2 * n * (j + 1))) for j in range(l)]
-    period_finding_rounds(circ, oracle, [], ys, fs)
+    circ = Circuit(2 * oracle.n * l)
+    period_finding_rounds(circ, oracle, [], *round_blocks(0, oracle.n, l))
     return circ

@@ -260,6 +260,8 @@ def sparse_apply(state: dict[int, complex], gates: list[Gate]) -> dict[int, comp
 def run_basis(circ: Circuit, bits: int) -> int:
     """Track one basis state through a permutation-only circuit.
 
+    An ORACLE gate XORs bit j of its table entry into its j-th target.
+
     Raises:
         ValueError: on H, which does not permute basis states.
     """
@@ -268,7 +270,8 @@ def run_basis(circ: Circuit, bits: int) -> int:
             raise ValueError(f"{gate.kind} is not a permutation gate")
         if gate.kind == "ORACLE":
             delta = gate.table[extract_bits(bits, gate.controls)]
-            bits ^= pack_bits([delta >> j for j in range(len(gate.targets))], gate.targets)
+            for j, t in enumerate(gate.targets):
+                bits ^= ((delta >> j) & 1) << t
         elif all((bits >> c) & 1 for c in gate.controls):
             bits ^= 1 << gate.targets[0]
     return bits
@@ -318,15 +321,6 @@ def run_basis_batch(gates: list[Gate], bits: np.ndarray) -> np.ndarray:
     for q, plane in planes.items():
         out |= unpack(plane).astype(bits.dtype) << q
     return out
-
-
-def pack_bits(values: Sequence[int], qubits: Sequence[int]) -> int:
-    """Place values[j] on qubit qubits[j] in a basis index."""
-    bits = 0
-    for v, q in zip(values, qubits):
-        if v & 1:
-            bits |= 1 << q
-    return bits
 
 
 def extract_bits(bits: int, qubits: Sequence[int]) -> int:

@@ -140,7 +140,7 @@ def suite_gf2() -> SuiteResult:
         r = rref(a)
         if not is_rref(r.matrix) or row_space(r.matrix) != row_space(a):
             bad += 1
-        if r.rank != rank(a):
+        if 1 << r.rank != len(row_space(a)):
             bad += 1
     res.add("rref_all_3x3", bad == 0, f"512 matrices, {bad} failures")
 
@@ -395,13 +395,13 @@ def suite_counting() -> SuiteResult:
 def suite_deferred(n: int | None = None, l: int | None = None) -> SuiteResult:
     """Measure-then-solve vs solve-then-measure, exact distributions.
 
-    With no arguments the full (n, l) grid runs; passing n and l checks
-    a single shape (every nonzero period either way).
+    With no arguments the full (n, l) grid runs; passing both n and l
+    checks a single shape (every nonzero period either way).
     """
     from .analysis import deferred_vs_immediate
 
     res = SuiteResult("deferred")
-    shapes = DEFERRED_GRID if n is None else ((n, l if l is not None else 2),)
+    shapes = DEFERRED_GRID if n is None else ((n, l),)
     for nn, ll in shapes:
         worst = 0.0
         ok = True

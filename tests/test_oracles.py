@@ -7,12 +7,14 @@ import pytest
 from probes import marginal
 
 from qgms import sim
+from qgms.analysis import GmsConfig, prep_circuit
 from qgms.oracles import (
     ZeroPeriod,
     ZeroWhiteningKey,
     build_fx_oracle,
     build_simon_oracle,
     parallel_simon_circuit,
+    round_blocks,
     y_marginal,
 )
 
@@ -107,6 +109,26 @@ def test_parallel_simon_is_product_of_rounds():
             assert joint[y0 | (y1 << 2)] == pytest.approx(
                 single[y0] * single[y1], abs=1e-12
             )
+
+
+@pytest.mark.parametrize("m, n, l", [(1, 2, 1), (2, 2, 3), (1, 3, 2), (3, 3, 1)])
+def test_round_layout_at_both_call_sites(m, n, l):
+    cfg = GmsConfig(m, n, l, build_fx_oracle(m, n, key=0, k1=1, k2=0))
+    key, ys, fs = cfg.layout()
+    assert key == list(range(m))
+    for j in range(l):
+        start = m + 2 * n * j
+        assert ys[j] == list(range(start, start + n))
+        assert fs[j] == list(range(start + n, start + 2 * n))
+    prep = prep_circuit(cfg)
+    assert [list(prep.registers[f"y{j}"]) for j in range(l)] == ys
+    assert [list(prep.registers[f"f{j}"]) for j in range(l)] == fs
+
+    circ = parallel_simon_circuit(build_simon_oracle(n, 1, rng=0), l)
+    assert (
+        [list(circ.registers[f"y{j}"]) for j in range(l)],
+        [list(circ.registers[f"f{j}"]) for j in range(l)],
+    ) == round_blocks(0, n, l)
 
 
 # ---------------------------------------------------------------------------
