@@ -178,20 +178,30 @@ def _truth_table(circ, inputs: list[int]) -> list[int]:
     return out.tolist()
 
 
-def _solver_equivalence(jordan: bool) -> Check:
+def _solved_systems() -> tuple[list[int], list[int]]:
+    """Every invertible 3x3 system A x = b as a solver input, with its x.
+
+    Returns the packed register inputs and the classical solutions' bits;
+    both solver circuits share one register layout, so both checks read
+    this one table.
+    """
+    inputs, solutions = [], []
+    for a in _invertible_matrices(3):
+        for b in range(8):
+            inputs.append(synth.pack_matrix(a, b))
+            solutions.append(gaussian_eliminate(a, BitVector(3, b)).bits)
+    return inputs, solutions
+
+
+def _solver_equivalence(jordan: bool, inputs: list[int], solutions: list[int]) -> Check:
     from . import sim
 
     syn = synth.jordan_solve_circuit(3) if jordan else synth.gauss_solve_circuit(3)
     b_reg = list(syn.circuit.registers["b"])
-    cases = [(a, b) for a in _invertible_matrices(3) for b in range(8)]
-    outs = _truth_table(syn.circuit, [synth.pack_matrix(a, b) for a, b in cases])
-    bad = 0
-    for (a, b), out in zip(cases, outs):
-        got = sim.extract_bits(out, b_reg)
-        if got != gaussian_eliminate(a, BitVector(3, b)).bits:
-            bad += 1
+    outs = _truth_table(syn.circuit, inputs)
+    bad = sum(sim.extract_bits(out, b_reg) != x for out, x in zip(outs, solutions))
     name = "jordan_solver_matches_classical" if jordan else "gauss_solver_matches_classical"
-    return Check(name, bad == 0, f"{len(cases)} systems, {bad} mismatches")
+    return Check(name, bad == 0, f"{len(inputs)} systems, {bad} mismatches")
 
 
 # Columns per block of the norm check. Under two workers, in fresh
@@ -204,53 +214,157 @@ def _solver_equivalence(jordan: bool) -> Check:
 _NORM_BLOCK = 5
 # Rows of the (2^q, count) draw taken from the generator at a time.
 _DRAW_ROWS = 4096
-# Rows per tile of ``_col_norms``: a (2049, 5) complex buffer is 160 kB.
-# Tiles of 1024-8192 rows ran equally fast in the runs above, 512 slower.
+# Rows per tile of ``_column_sums`` and of the permutation-only path's
+# draws: a (2049, 5) complex buffer is 160 kB, a (2048, 100) float one
+# 1.6 MB. Tiles of 1024-8192 rows ran equally fast in the runs above, 512
+# slower.
 _NORM_TILE = 2048
 # Threads of the norm check's pool, one per core of a two-core host.
 _WORKERS = 2
 
 
-def _col_norms(x):
-    """``np.linalg.norm(x, axis=0)`` of a 2-D complex ``x``, bit for bit.
+def _column_sums(rows: int, width: int, dtype, fill):
+    """Sums over axis 0 of the real parts of a (rows, width) array.
 
-    numpy forms ``(x.conj() * x).real`` in two full-size complex
-    temporaries and sums it over axis 0 row by row. Here the same
-    products are formed one row tile at a time in a small buffer whose
-    row 0 carries the running sums into the next tile's sum (zeros for
-    the first tile, and 0.0 + p is p), so the additions happen in the same
-    order on the same values.
+    The array is never held whole: ``fill(row, out)`` writes its rows
+    ``row`` onward into ``out``, one tile of up to ``_NORM_TILE`` rows at
+    a time, in order. numpy's ``np.add.reduce(x.real, axis=0)`` over two
+    or more columns adds row by row. Here each tile lands in rows 1.. of
+    a small buffer whose row 0 carries the running sums into the tile's
+    sum (zeros for the first tile, and 0.0 + p is p), so the additions
+    happen in the same order on the same values, bit for bit.
     """
     import numpy as np
 
-    rows, width = x.shape
-    buf = np.empty((min(_NORM_TILE, rows) + 1, width), dtype=np.complex128)
+    buf = np.empty((min(_NORM_TILE, rows) + 1, width), dtype=dtype)
     total = np.zeros(width)
     for row in range(0, rows, _NORM_TILE):
-        tile = x[row : row + _NORM_TILE]
-        prod = buf[: len(tile) + 1]
-        prod[0].real = total
-        np.conjugate(tile, out=prod[1:])
-        np.multiply(prod[1:], tile, out=prod[1:])
-        np.add.reduce(prod.real, axis=0, out=total)
-    return np.sqrt(total)
+        part = buf[: min(_NORM_TILE, rows - row) + 1]
+        part[0] = total
+        fill(row, part[1:])
+        np.add.reduce(part.real, axis=0, out=total)
+    return total
+
+
+def _col_norms(x):
+    """``np.linalg.norm(x, axis=0)`` of a 2-D complex ``x``, bit for bit.
+
+    numpy sums ``(x.conj() * x).real`` over axis 0 row by row, after
+    forming it in two full-size complex temporaries; ``_column_sums``
+    forms the same products one row tile at a time.
+    """
+    import numpy as np
+
+    def products(row, out):
+        tile = x[row : row + len(out)]
+        np.conjugate(tile, out=out)
+        np.multiply(out, tile, out=out)
+
+    return np.sqrt(_column_sums(*x.shape, np.complex128, products))
+
+
+def _drawn_tiles(pool, rng, rows: int, width: int):
+    """The rows of one (rows, width) standard normal draw, tile by tile.
+
+    Yields (first row, tile); tiles hold up to ``_NORM_TILE`` rows. Each
+    fills the next of three reused buffers through
+    ``rng.standard_normal(out=...)``: the same stream as one draw of the
+    whole array. ``pool``'s one thread draws up to two tiles ahead of the
+    tile yielded, so the three never overlap.
+    """
+    import numpy as np
+
+    height = min(_NORM_TILE, rows)
+    bufs = [np.empty((height, width)) for _ in range(3)]
+
+    def draw(k):
+        return rng.standard_normal(out=bufs[k % 3][: min(height, rows - k * height)])
+
+    n = -(-rows // height)
+    ahead = [pool.submit(draw, k) for k in range(min(2, n))]
+    for k in range(n):
+        if k + 2 < n:
+            ahead.append(pool.submit(draw, k + 2))
+        yield k * height, ahead.pop(0).result()
+
+
+def _permutation_deviation(g, count: int, rng) -> float:
+    """``_norm_deviation`` of a circuit whose whole plan is the gather map ``g``.
+
+    Output amplitude j is input amplitude g[j], so output norms need only
+    each input's per-row probabilities |z|^2, one float (2^q, count)
+    plane. The real parts are drawn into the plane in one call, the same
+    stream as the amplitude path's row chunks; the imaginary parts are
+    drawn twice from the same generator state, in tiles. The first
+    pass sums each column's |z|^2 for the input norms; the second
+    divides each tile by them and writes the normalised |z|^2 over the
+    plane. Every product, quotient and sum is the amplitude path's,
+    formed in the same order, and a gather only moves values.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
+    size = len(g)
+    plane = rng.standard_normal((size, count))
+    state = rng.bit_generator.state
+    x = np.empty((min(_NORM_TILE, size), count), dtype=np.complex128)
+    prod = np.empty_like(x)
+    with ThreadPoolExecutor(1) as pool:
+        imag = _drawn_tiles(pool, rng, size, count)
+
+        def products(row, out):
+            out.real = plane[row : row + len(out)]
+            out.imag = next(imag)[1]
+            np.conjugate(out, out=x[: len(out)])
+            np.multiply(x[: len(out)], out, out=out)
+
+        norms = np.sqrt(_column_sums(size, count, np.complex128, products))
+        rng.bit_generator.state = state
+        for row, part in _drawn_tiles(pool, rng, size, count):
+            z, p = x[: len(part)], prod[: len(part)]
+            z.real = plane[row : row + len(part)]
+            z.imag = part
+            z /= norms
+            np.conjugate(z, out=p)
+            np.multiply(p, z, out=p)
+            plane[row : row + len(part)] = p.real
+
+    def gathered(row, out):
+        np.take(plane, g[row : row + len(out)], axis=0, out=out)
+
+    total = _column_sums(size, count, np.float64, gathered)
+    return float(np.max(np.abs(np.sqrt(total) - 1.0), initial=0.0))
 
 
 def _norm_deviation(circ, count: int, seed: int) -> float:
     """Largest |norm - 1| over ``count`` random unit states run through ``circ``.
 
     The states are the columns of one (2^q, count) batch of normals, real
-    parts then imaginary parts, drawn in row chunks into a block-major
-    buffer: block b holds columns b*_NORM_BLOCK onward as one contiguous
-    (2^q, _NORM_BLOCK) array. A pool of ``_WORKERS`` threads copies each
-    chunk into its blocks while the generator draws the next one (the
-    same calls in the same order), then normalises each block and runs it
-    in place through one plan of the circuit (which stores the state with
-    every H target on its outer qubits; see ``sim.dense_steps``). Each
-    column's norm and amplitudes do not depend on which columns share its
-    block or which thread runs it, and the largest deviation does not
-    depend on the order the blocks finish in, so the result equals one run
-    of the whole batch bit for bit.
+    parts then imaginary parts. The circuit is planned first, so the
+    qubit cap is checked before anything is allocated.
+
+    A circuit without H plans to one gather map, and
+    ``_permutation_deviation`` takes the deviation from one float
+    (2^q, count) plane of per-row probabilities, 8 bytes per amplitude
+    (52 MB for kernel_2x2 at q = 16), plus about 16 MB of row tiles at
+    count = 100.
+
+    Any other circuit takes the amplitude path, 16 bytes per amplitude
+    (105 MB at q = 16): the batch is drawn in row chunks into a
+    block-major buffer, where block b holds columns b*_NORM_BLOCK onward
+    as one contiguous (2^q, _NORM_BLOCK) array. A pool of ``_WORKERS``
+    threads copies each chunk into its blocks while the generator draws
+    the next one (the same calls in the same order), then normalises each
+    block and runs it in place through one plan of the circuit (which
+    stores the state with every H target on its outer qubits; see
+    ``sim.dense_steps``).
+
+    Either way each column's norm is the same sum of the same products,
+    added in the same order, and it does not depend on which columns
+    share its block or which thread runs it; the largest deviation does
+    not depend on the order the blocks finish in. So both paths equal
+    one run of the whole batch bit for bit.
 
     Raises:
         ValueError: if ``count`` is not a multiple of ``_NORM_BLOCK``.
@@ -264,8 +378,10 @@ def _norm_deviation(circ, count: int, seed: int) -> float:
     from . import sim
 
     steps = list(sim.dense_steps(circ))
-    size = 1 << circ.qubit_count
     rng = np.random.default_rng(seed)
+    if len(steps) == 1 and isinstance(steps[0], np.ndarray):
+        return _permutation_deviation(steps[0], count, rng)
+    size = 1 << circ.qubit_count
     z = np.empty((count // _NORM_BLOCK, size, _NORM_BLOCK), dtype=np.complex128)
 
     def copy(part, row, chunk):
@@ -312,8 +428,9 @@ def suite_circuits() -> SuiteResult:
     """Circuit-vs-classical equivalence, resource tallies, unitarity."""
     res = SuiteResult("circuits")
 
-    res.checks.append(_solver_equivalence(jordan=False))
-    res.checks.append(_solver_equivalence(jordan=True))
+    solved = _solved_systems()
+    res.checks.append(_solver_equivalence(False, *solved))
+    res.checks.append(_solver_equivalence(True, *solved))
 
     matrices = list(_all_matrices(3))
     outs = _truth_table(synth.rref_circuit(3, 3), [synth.pack_matrix(a) for a in matrices])

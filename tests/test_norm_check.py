@@ -1,8 +1,10 @@
 """The circuits suite's norm check: reproducible inputs, blocks that give
-the same bits as one full batch whichever thread runs them, and column
-norms that equal numpy's."""
+the same bits as one full batch whichever thread runs them, column norms
+that equal numpy's, and permutation-only circuits checked on one float
+plane of probabilities instead of a complex batch."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,17 +51,38 @@ def test_blocked_norm_deviation_through_hadamards_equals_one_shot_batch():
     assert got.hex() == one_shot_norm_deviation(circ, 100, seed).hex()
 
 
-@pytest.mark.parametrize("width", [2, 5, 10, 13])
+def carried_float_sums(x):
+    """``verify._column_sums`` of a float ``x``, filled tile by tile from it."""
+
+    def copy(row, out):
+        np.copyto(out, x[row : row + len(out)])
+
+    return verify._column_sums(*x.shape, np.float64, copy)
+
+
 @pytest.mark.parametrize(
-    "height",
-    [1, verify._NORM_TILE - 1, verify._NORM_TILE, verify._NORM_TILE + 1, 3 * verify._NORM_TILE + 7],
+    "height, width, dtype",
+    [
+        # ids: "height-width" for complex input, "height-width-float" for float
+        pytest.param(h, w, dtype, id=f"{h}-{w}" + ("-float" if dtype == "float" else ""))
+        for dtype in ("complex", "float")
+        for h in (1, verify._NORM_TILE - 1, verify._NORM_TILE, verify._NORM_TILE + 1, 3 * verify._NORM_TILE + 7)
+        for w in (2, 5, 10, 13)
+    ],
 )
-def test_col_norms_equal_numpy_norm_bit_for_bit(height, width):
+def test_col_norms_equal_numpy_norm_bit_for_bit(height, width, dtype):
+    """Complex input: ``_col_norms`` against ``np.linalg.norm``; float input:
+    the carried sums alone against ``np.add.reduce``."""
     rng = np.random.default_rng(height * 100 + width)
-    wide = rng.standard_normal((height, 3 * width)) + 1j * rng.standard_normal((height, 3 * width))
+    wide = rng.standard_normal((height, 3 * width))
+    if dtype == "complex":
+        wide = wide + 1j * rng.standard_normal((height, 3 * width))
     for x in (np.ascontiguousarray(wide[:, :width]), wide[:, width : 2 * width], wide[:, ::3]):
-        want = np.linalg.norm(x, axis=0)
-        assert [v.hex() for v in verify._col_norms(x)] == [v.hex() for v in want]
+        if dtype == "complex":
+            got, want = verify._col_norms(x), np.linalg.norm(x, axis=0)
+        else:
+            got, want = carried_float_sums(x), np.add.reduce(x, axis=0)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def serial_norm_deviation(circ, count, seed):
@@ -99,3 +122,41 @@ def test_memory_error_in_a_worker_exits_3_and_leaves_no_thread(monkeypatch, caps
     assert cli.main(["verify", "circuits"]) == 3
     assert threading.active_count() == before
     assert capsys.readouterr().err == "out of memory\n"
+
+
+PERMUTATION_ONLY = ("gauss_2", "jordan_2", "rref_2x2", "kernel_2x2")
+
+
+def test_only_circuits_with_hadamards_run_amplitudes(monkeypatch):
+    calls = []
+    apply_steps = sim.apply_steps
+
+    def counted(steps, amps):
+        calls.append(1)
+        return apply_steps(steps, amps)
+
+    monkeypatch.setattr(sim, "apply_steps", counted)
+    for seed, (label, circ) in enumerate(verify._norm_circuits()):
+        calls.clear()
+        verify._norm_deviation(circ, 10, seed=seed)
+        if label in PERMUTATION_ONLY:
+            assert not calls, label
+        else:
+            assert calls, label
+
+
+def test_permutation_only_norm_check_holds_no_complex_batch():
+    """One complex (2^16, 100) batch is 100 MiB; the float plane is 50 MiB."""
+    circ = dict(verify._norm_circuits())["kernel_2x2"]
+    tracemalloc.start()
+    try:
+        verify._norm_deviation(circ, 100, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+
+
+def test_an_empty_batch_deviates_by_zero_on_both_paths():
+    for label, circ in verify._norm_circuits():
+        assert verify._norm_deviation(circ, 0, seed=0) == 0.0, label
