@@ -35,12 +35,9 @@ one gate of the set that does not permute basis states:
   relabelled circuit, so they join its first and last runs. Only storage
   order changes, so every amplitude is bit-identical to an unrelabelled
   run. A plan kept as a list applies to any number of column blocks, and
-  it is only read, so threads may apply it at once; the norm check of
-  ``verify`` runs its 100 random states through one plan, five columns at
-  a time on two threads, unless the plan is one gather map, which moves
-  each state's per-row probabilities as it moves the amplitudes, so the
-  check gathers those instead. Memory is 2^q complex doubles per column, so a
-  configurable qubit cap guards against accidental blowups.
+  it is only read, so threads may apply it at once. Memory is 2^q complex
+  doubles per column, so a configurable qubit cap guards against
+  accidental blowups.
 * ``sparse_apply`` keeps a dict of nonzero amplitudes. A permutation run
   relabels its keys in one kernel call and keeps the dict's order.
   Circuits whose support stays polynomial (few Hadamards, mostly

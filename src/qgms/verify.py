@@ -212,12 +212,10 @@ def _solver_equivalence(jordan: bool, inputs: list[int], solutions: list[int]) -
 # 2^16 amplitudes, kernel_2x2). No block may hold a single column: numpy
 # sums a lone column's norm in another order, so its bits differ.
 _NORM_BLOCK = 5
-# Rows of the (2^q, count) draw taken from the generator at a time.
-_DRAW_ROWS = 4096
-# Rows per tile of ``_column_sums`` and of the permutation-only path's
-# draws: a (2049, 5) complex buffer is 160 kB, a (2048, 100) float one
-# 1.6 MB. Tiles of 1024-8192 rows ran equally fast in the runs above, 512
-# slower.
+# Rows per tile of ``_column_sums`` and of every draw stream
+# (``_drawn_tiles``): a (2049, 5) complex buffer is 160 kB, a (2048, 100)
+# float one 1.6 MB. Tiles of 1024-8192 rows ran equally fast in the runs
+# above, 512 slower.
 _NORM_TILE = 2048
 # Threads of the norm check's pool, one per core of a two-core host.
 _WORKERS = 2
@@ -263,15 +261,18 @@ def _col_norms(x):
     return np.sqrt(_column_sums(*x.shape, np.complex128, products))
 
 
-def _drawn_tiles(pool, rng, rows: int, width: int):
+def _drawn_tiles(rng, rows: int, width: int):
     """The rows of one (rows, width) standard normal draw, tile by tile.
 
     Yields (first row, tile); tiles hold up to ``_NORM_TILE`` rows. Each
     fills the next of three reused buffers through
     ``rng.standard_normal(out=...)``: the same stream as one draw of the
-    whole array. ``pool``'s one thread draws up to two tiles ahead of the
-    tile yielded, so the three never overlap.
+    whole array. The stream's own thread draws up to two tiles ahead of
+    the tile yielded, so the three never overlap; exhausting or closing
+    the stream joins it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     height = min(_NORM_TILE, rows)
@@ -281,11 +282,12 @@ def _drawn_tiles(pool, rng, rows: int, width: int):
         return rng.standard_normal(out=bufs[k % 3][: min(height, rows - k * height)])
 
     n = -(-rows // height)
-    ahead = [pool.submit(draw, k) for k in range(min(2, n))]
-    for k in range(n):
-        if k + 2 < n:
-            ahead.append(pool.submit(draw, k + 2))
-        yield k * height, ahead.pop(0).result()
+    with ThreadPoolExecutor(1) as pool:
+        ahead = [pool.submit(draw, k) for k in range(min(2, n))]
+        for k in range(n):
+            if k + 2 < n:
+                ahead.append(pool.submit(draw, k + 2))
+            yield k * height, ahead.pop(0).result()
 
 
 def _permutation_deviation(g, count: int, rng) -> float:
@@ -293,15 +295,15 @@ def _permutation_deviation(g, count: int, rng) -> float:
 
     Output amplitude j is input amplitude g[j], so output norms need only
     each input's per-row probabilities |z|^2, one float (2^q, count)
-    plane. The real parts are drawn into the plane in one call, the same
-    stream as the amplitude path's row chunks; the imaginary parts are
-    drawn twice from the same generator state, in tiles. The first
-    pass sums each column's |z|^2 for the input norms; the second
-    divides each tile by them and writes the normalised |z|^2 over the
-    plane. Every product, quotient and sum is the amplitude path's,
-    formed in the same order, and a gather only moves values.
+    plane. The real parts are drawn into the plane in one call; the
+    imaginary parts are drawn twice as one stream of ``_drawn_tiles``,
+    from the same generator state. The first pass sums each column's
+    |z|^2 for the input norms; the second divides each tile by them and
+    writes the normalised |z|^2 over the plane. Every product, quotient
+    and sum is the amplitude path's, formed in the same order, and a
+    gather only moves values.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    from contextlib import closing
 
     import numpy as np
 
@@ -310,25 +312,25 @@ def _permutation_deviation(g, count: int, rng) -> float:
     state = rng.bit_generator.state
     x = np.empty((min(_NORM_TILE, size), count), dtype=np.complex128)
     prod = np.empty_like(x)
-    with ThreadPoolExecutor(1) as pool:
-        imag = _drawn_tiles(pool, rng, size, count)
+    imag = _drawn_tiles(rng, size, count)
 
-        def products(row, out):
-            out.real = plane[row : row + len(out)]
-            out.imag = next(imag)[1]
-            np.conjugate(out, out=x[: len(out)])
-            np.multiply(x[: len(out)], out, out=out)
+    def products(row, out):
+        out.real = plane[row : row + len(out)]
+        out.imag = next(imag)[1]
+        np.conjugate(out, out=x[: len(out)])
+        np.multiply(x[: len(out)], out, out=out)
 
+    with closing(imag):
         norms = np.sqrt(_column_sums(size, count, np.complex128, products))
-        rng.bit_generator.state = state
-        for row, part in _drawn_tiles(pool, rng, size, count):
-            z, p = x[: len(part)], prod[: len(part)]
-            z.real = plane[row : row + len(part)]
-            z.imag = part
-            z /= norms
-            np.conjugate(z, out=p)
-            np.multiply(p, z, out=p)
-            plane[row : row + len(part)] = p.real
+    rng.bit_generator.state = state
+    for row, part in _drawn_tiles(rng, size, count):
+        z, p = x[: len(part)], prod[: len(part)]
+        z.real = plane[row : row + len(part)]
+        z.imag = part
+        z /= norms
+        np.conjugate(z, out=p)
+        np.multiply(p, z, out=p)
+        plane[row : row + len(part)] = p.real
 
     def gathered(row, out):
         np.take(plane, g[row : row + len(out)], axis=0, out=out)
@@ -351,14 +353,13 @@ def _norm_deviation(circ, count: int, seed: int) -> float:
     count = 100.
 
     Any other circuit takes the amplitude path, 16 bytes per amplitude
-    (105 MB at q = 16): the batch is drawn in row chunks into a
-    block-major buffer, where block b holds columns b*_NORM_BLOCK onward
-    as one contiguous (2^q, _NORM_BLOCK) array. A pool of ``_WORKERS``
-    threads copies each chunk into its blocks while the generator draws
-    the next one (the same calls in the same order), then normalises each
-    block and runs it in place through one plan of the circuit (which
-    stores the state with every H target on its outer qubits; see
-    ``sim.dense_steps``).
+    (105 MB at q = 16): the real parts, then the imaginary parts, are
+    drawn as two streams of ``_drawn_tiles`` into a block-major buffer,
+    where block b holds columns b*_NORM_BLOCK onward as one contiguous
+    (2^q, _NORM_BLOCK) array. A pool of ``_WORKERS`` threads then
+    normalises each block and runs it in place through one plan of the
+    circuit (which stores the state with every H target on its outer
+    qubits; see ``sim.dense_steps``).
 
     Either way each column's norm is the same sum of the same products,
     added in the same order, and it does not depend on which columns
@@ -383,10 +384,11 @@ def _norm_deviation(circ, count: int, seed: int) -> float:
         return _permutation_deviation(steps[0], count, rng)
     size = 1 << circ.qubit_count
     z = np.empty((count // _NORM_BLOCK, size, _NORM_BLOCK), dtype=np.complex128)
-
-    def copy(part, row, chunk):
-        rows = chunk.reshape(len(chunk), -1, _NORM_BLOCK)
-        part[:, row : row + len(chunk)] = rows.transpose(1, 0, 2)
+    for part in (z.real, z.imag):
+        for row, tile in _drawn_tiles(rng, size, count):
+            h = len(tile)
+            part[:, row : row + h] = tile.reshape(h, -1, _NORM_BLOCK).transpose(1, 0, 2)
+    del tile  # its buffer would pin about 6 MB of freed heap while the blocks run
 
     def deviation(block):
         block /= _col_norms(block)
@@ -394,18 +396,7 @@ def _norm_deviation(circ, count: int, seed: int) -> float:
         return float(np.max(np.abs(_col_norms(out) - 1.0)))
 
     with ThreadPoolExecutor(_WORKERS) as pool:
-        copied = None
-        for part in (z.real, z.imag):
-            for row in range(0, size, _DRAW_ROWS):
-                chunk = rng.standard_normal((min(_DRAW_ROWS, size - row), count))
-                if copied is not None:
-                    copied.result()
-                copied = pool.submit(copy, part, row, chunk)
-        copied.result()
-        worst = 0.0
-        for dev in pool.map(deviation, z):
-            worst = max(worst, dev)
-    return worst
+        return max(pool.map(deviation, z), default=0.0)
 
 
 def _norm_circuits() -> list[tuple[str, object]]:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -227,6 +228,21 @@ def test_curve_respects_ceiling_and_stays_low():
     assert max(curve) < 0.5
     assert max(curve) < stats.p_max + 1e-8
     assert max(curve) > 0.0
+
+
+@pytest.mark.parametrize("m, n, l", [(2, 3, 2), (3, 3, 2)])
+def test_two_to_one_true_key_keeps_the_curve_between_its_start_and_ceiling(m, n, l):
+    """Every pinned report starts at t_curve[0] = 0; at cipher seed 0 the true
+    key's residual is 2-to-1, so the search starts with marked mass, and
+    the marked initial amplitudes still sum to 0 (k0_mean). Key, k1 and k2
+    are the command line's defaults at these widths."""
+    fx = build_fx_oracle(m, n, key=2, k1=3, k2=1, cipher_seed=0)
+    assert set(Counter(fx.residual_table(fx.key)).values()) == {2}
+    report = analysis_report(GmsConfig(m, n, l, fx), t_max=20)
+    assert report["k0_mean"] == [0.0, 0.0]
+    curve = [p for _, p in report["t_curve"]]
+    assert len(curve) == 21 and curve[0] > 0
+    assert all(curve[0] - 1e-12 <= p <= report["p_max"] + 1e-12 for p in curve)
 
 
 def test_engines_agree():

@@ -1,7 +1,8 @@
-"""The circuits suite's norm check: reproducible inputs, blocks that give
-the same bits as one full batch whichever thread runs them, column norms
-that equal numpy's, and permutation-only circuits checked on one float
-plane of probabilities instead of a complex batch."""
+"""The circuits suite's norm check: reproducible inputs, draw streams that
+equal one whole draw and join their threads, blocks that give the same
+bits as one full batch whichever thread runs them, column norms that
+equal numpy's, and permutation-only circuits checked on one float plane
+of probabilities instead of a complex batch."""
 
 import threading
 import tracemalloc
@@ -94,9 +95,8 @@ def serial_norm_deviation(circ, count, seed):
     rng = np.random.default_rng(seed)
     z = np.empty((count // width, size, width), dtype=np.complex128)
     for part in (z.real, z.imag):
-        for row in range(0, size, verify._DRAW_ROWS):
-            chunk = rng.standard_normal((min(verify._DRAW_ROWS, size - row), count))
-            part[:, row : row + len(chunk)] = chunk.reshape(len(chunk), -1, width).transpose(1, 0, 2)
+        draw = rng.standard_normal((size, count))
+        part[:] = draw.reshape(size, -1, width).transpose(1, 0, 2)
     worst = 0.0
     for block in z:
         block /= np.linalg.norm(block, axis=0, keepdims=True)
@@ -109,6 +109,34 @@ def test_two_worker_norm_deviation_equals_serial_loop_bit_for_bit():
     for seed, (label, circ) in enumerate(verify._norm_circuits()):
         got = verify._norm_deviation(circ, 100, seed=seed)
         assert got.hex() == serial_norm_deviation(circ, 100, seed).hex(), label
+
+
+@pytest.mark.parametrize(
+    "rows", [1, verify._NORM_TILE - 1, verify._NORM_TILE, 2 * verify._NORM_TILE + 7]
+)
+@pytest.mark.parametrize("width", [1, 5, 100])
+def test_drawn_tiles_equal_one_whole_draw_bit_for_bit(rows, width):
+    want = np.random.default_rng(rows + width).standard_normal((rows, width))
+    got = []
+    for row, tile in verify._drawn_tiles(np.random.default_rng(rows + width), rows, width):
+        assert row == sum(len(t) for t in got)
+        got.append(tile.copy())  # the stream reuses three buffers
+    assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+def test_closing_a_draw_stream_joins_its_thread():
+    before = threading.active_count()
+    tiles = verify._drawn_tiles(np.random.default_rng(0), 3 * verify._NORM_TILE, 5)
+    next(tiles)
+    assert threading.active_count() == before + 1
+    tiles.close()
+    assert threading.active_count() == before
+
+
+def test_circuits_suite_leaves_no_thread():
+    before = threading.active_count()
+    assert verify.suite_circuits().passed
+    assert threading.active_count() == before
 
 
 def test_memory_error_in_a_worker_exits_3_and_leaves_no_thread(monkeypatch, capsys):
