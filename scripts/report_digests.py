@@ -15,6 +15,14 @@ equal:
 
     diff <(python scripts/report_digests.py PARENT) <(python scripts/report_digests.py)
 
+``--dump DIR`` also writes each hashed output to DIR as a file (``.json``,
+``.csv`` or ``.txt``), for ``compare_reports.py`` to compare two checkouts
+float by float:
+
+    python scripts/report_digests.py --dump base PARENT > /dev/null
+    python scripts/report_digests.py --dump head > /dev/null
+    python scripts/compare_reports.py base head
+
 A command that exits non-zero (a failed self-check included) stops the
 script with exit 1.
 
@@ -28,6 +36,7 @@ checkout on one machine instead.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -61,43 +70,62 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def verify_digest(stdout: str) -> str:
-    """sha256 of a ``verify`` stdout without its wall-clock ``elapsed_s``.
+def verify_payload(stdout: str) -> bytes:
+    """A ``verify`` stdout without its wall-clock ``elapsed_s``.
 
-    The payload is re-dumped with sorted keys, so the digest covers the
-    checks alone. Standard library only: CI calls it without numpy.
+    The payload is re-dumped with sorted keys, so it holds the checks
+    alone. Standard library only: CI calls it without numpy.
     """
     payload = json.loads(stdout)
     del payload["elapsed_s"]
-    return sha256((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
-def digests(root: Path):
-    """Yield (output name, sha256) for every pinned output."""
+def verify_digest(stdout: str) -> str:
+    """sha256 of ``verify_payload(stdout)``."""
+    return sha256(verify_payload(stdout))
+
+
+def outputs(root: Path):
+    """Yield (output name, file name, hashed bytes) for every pinned output."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for suite in SUITES:
-            yield f"verify_{suite}", verify_digest(qgms(root, ["verify", suite], out))
+            name = f"verify_{suite}"
+            yield name, f"{name}.json", verify_payload(qgms(root, ["verify", suite], out))
         for m, n, l in GMS_SHAPES:
             run = out / f"gms_m{m}_n{n}_l{l}"
             qgms(root, ["gms", "--m", str(m), "--n", str(n), "--l", str(l), "--out", str(run)], out)
-            yield f"{run.name}_report", sha256((run / "gms_report.json").read_bytes())
-            yield f"{run.name}_curve", sha256((run / "gms_curve.csv").read_bytes())
+            for part, file in (("report", "gms_report.json"), ("curve", "gms_curve.csv")):
+                name = f"{run.name}_{part}"
+                yield name, name + Path(file).suffix, (run / file).read_bytes()
         for kind, n in SYNTH_RUNS:
             qgms(root, ["synth", kind, "--n", str(n), "--out", str(out)], out)
             for part in ("circuit.txt", "resources.json"):
                 name = f"{kind}_n{n}_{part}"
-                yield name, sha256((out / name).read_bytes())
+                yield name, name, (out / name).read_bytes()
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) > 1:
-        sys.exit(f"usage: {Path(__file__).name} [ROOT]")
-    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    parser = argparse.ArgumentParser(description="Print one sha256 per pinned qgms output.")
+    parser.add_argument(
+        "root",
+        nargs="?",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent,
+        help="the qgms checkout to run (default: the one holding this script)",
+    )
+    parser.add_argument("--dump", metavar="DIR", type=Path, help="also write each output to DIR")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
     if not (root / "src" / "qgms").is_dir():
         sys.exit(f"{root} is not a qgms checkout (no src/qgms)")
-    for name, digest in digests(root):
-        print(name, digest, flush=True)
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
+    for name, file, data in outputs(root):
+        if args.dump:
+            (args.dump / file).write_bytes(data)
+        print(name, sha256(data), flush=True)
     return 0
 
 

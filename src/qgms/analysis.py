@@ -21,11 +21,11 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -103,6 +103,11 @@ def _check_cap(m: int, n: int, l: int) -> None:
         raise sim.QubitCapExceeded(
             f"configuration needs {need} qubits (m + 2nl + n + 1); cap is {cap}"
         )
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ... (``np.sum`` pairs; ``sum`` compensates from 3.12)."""
+    return reduce(operator.add, values.tolist(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +318,7 @@ def _check_round(
         raise RuntimeError("diffusion slice leaves the data register")
     diffusion = Circuit(cfg.data_qubits, gates=circ.gates[lo:hi])
     got = sim.run(diffusion, state=sim.StateVector(cfg.data_qubits, amps)).amps
-    if np.max(np.abs(got - (amps - 2.0 * amps.mean()))) > 1e-12:
+    if not np.max(np.abs(got - (amps - 2.0 * amps.mean()))) <= 1e-12:
         raise RuntimeError("diffusion slice is not the reflection about the mean")
     # run last, so that the diffusion check (the memory peak) runs without these arrays
     data = np.arange(1 << cfg.data_qubits, dtype=np.int64)
@@ -339,17 +344,12 @@ def run_gms_per_gate(cfg: GmsConfig, t_max: int) -> list[float]:
     data_size = 1 << cfg.data_qubits
 
     def marked_mass(state):
-        scratch = 0.0
-        mass = 0.0
-        for idx, amp in state.items():
-            w = (amp * amp.conjugate()).real
-            if idx >= data_size:
-                scratch += w
-            elif success[idx]:
-                mass += w
-        if scratch > 1e-9:
+        keys = np.array(list(state), dtype=object)
+        w = np.array([(amp * amp.conjugate()).real for amp in state.values()])
+        data = keys < data_size
+        if not _sum_in_order(w[~data]) <= 1e-9:
             raise RuntimeError("scratch register failed to uncompute")
-        return mass
+        return _sum_in_order(w[data][success[keys[data].astype(np.int64)]])
 
     # the gates after the prep slice are one round
     prep_end = slices["prep"][1]
@@ -426,12 +426,13 @@ def two_to_one_model(m: int, n: int, l: int) -> dict:
     2^(2(n-1)l) basis states, each wrong key populates 2^(2nl), and only
     populated states are counted. The marked count folds the f-register
     multiplicity 2^((n-1)l) over the rank-(n-1) row matrices whose
-    kernel vector is the period s = 1. Real
+    kernel vector is the period s = 1: the l-tuples of rows that span
+    s^perp, of which there are prod_{i<n-1} (2^l - 2^i). Real
     permutation ciphers at block width 2 violate the 2-to-1 idealization
     (their correct-key residual is constant), which is why these numbers
     are reported alongside, not instead of, the exact statistics.
     """
-    matrices = int(np.count_nonzero(_kernel_vector(n, l) == 1))
+    matrices = math.prod((1 << l) - (1 << i) for i in range(n - 1))
     n_states = _populated_states(m, n, l)
     r = 2 ** ((n - 1) * l) * matrices
     sum_l_sq = (2**m - 1) / 2**m + (2 ** (2 * (n - 1) * l) - r) / (
@@ -574,20 +575,18 @@ def query_ratio(m: int, n: int) -> QueryRatio:
 # Deferred vs immediate measurement
 
 
-def _row_distribution(per_copy, n: int, l: int):
-    """Yield (packed Y, P(Y)) for l independent rows drawn from ``per_copy``.
+def _row_distribution(per_copy, n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed Y and P(Y) of all 2^(nl) matrices of l rows drawn from ``per_copy``.
 
-    Matrices come in ``product`` order and those of probability 0 are
-    skipped; callers sum in this order, so their floats are reproducible.
+    Row 0 varies slowest (``itertools.product`` order), and each P(Y) is the
+    left-to-right product P(y_0) P(y_1) ..., as a loop over the matrices forms it.
     """
-    rows = [[(y << (n * j), py) for y, py in enumerate(per_copy) if py != 0.0] for j in range(l)]
-    for picks in product(*rows):
-        ybits, p = 0, 1.0
-        for y, py in picks:
-            ybits |= y
-            p *= py
-        if p != 0.0:
-            yield ybits, p
+    y = np.arange(1 << n)
+    ybits, prob = np.zeros(1, dtype=np.int64), np.ones(1)
+    for j in range(l):
+        ybits = np.add.outer(ybits, y << (n * j)).ravel()
+        prob = np.multiply.outer(prob, per_copy).ravel()
+    return ybits, prob
 
 
 @dataclass(frozen=True)
@@ -606,17 +605,17 @@ def deferred_vs_immediate(n: int, l: int, s: int, seed: int = 0) -> DeferredComp
     (solution 0 unless the rank is n-1). Deferred: wire the reversible
     solver after the rounds and measure rows and solution together at the
     end. The two joint distributions are identical; the correct-period
-    probability is r / 2^((n-1)l) with r counted by enumeration.
+    probability is r / 2^((n-1)l) with r counted by enumeration. Each is a
+    float array over the codes Y | solution << nl, as wide as the orthogonality
+    table; ``np.bincount`` adds the deferred |a|^2 in state order.
     """
     # the kernel table first: it checks the qubit cap before the oracle
     # and the 4^n-step marginal are built
     kernel = _kernel_vector(n, l)
     oracle = build_simon_oracle(n, s, rng=seed)
-    per_copy = y_marginal(oracle.table, n)
-    immediate: dict[tuple[int, int], float] = {}
-    for ybits, p in _row_distribution(per_copy, n, l):
-        key = (ybits, int(kernel[ybits]))
-        immediate[key] = immediate.get(key, 0.0) + p
+    ybits, prob = _row_distribution(y_marginal(oracle.table, n), n, l)
+    immediate = np.zeros(kernel.size << n)
+    immediate[ybits | kernel[ybits] << (n * l)] = prob
 
     # deferred: rounds, then the reversible kernel solver, measured at the end
     circ = parallel_simon_circuit(oracle, l)
@@ -626,25 +625,16 @@ def deferred_vs_immediate(n: int, l: int, s: int, seed: int = 0) -> DeferredComp
     flag = bld.fresh()
     kernel_core(bld, ys, s_out, flag)
 
-    state: dict[int, complex] = {0: 1.0 + 0.0j}
-    state = sim.sparse_apply(state, circ.gates)
-    y_qubits = [q for y in ys for q in y]  # row j lands on bits n*j..n*j+n-1
-    deferred: dict[tuple[int, int], float] = {}
-    for idx, amp in state.items():
-        w = (amp * amp.conjugate()).real
-        if w == 0.0:
-            continue
-        key = (sim.extract_bits(idx, y_qubits), sim.extract_bits(idx, s_out))
-        deferred[key] = deferred.get(key, 0.0) + w
-
-    keys = set(immediate) | set(deferred)
-    max_abs_diff = max(
-        abs(immediate.get(k, 0.0) - deferred.get(k, 0.0)) for k in keys
-    )
+    state = sim.sparse_apply({0: 1.0 + 0.0j}, circ.gates)
+    # row j lands on bits n*j..n*j+n-1 of the code, the solution above the rows
+    code = sim.extract_bits(np.array(list(state), dtype=object), [q for y in ys for q in y] + s_out)
+    weights = [(amp * amp.conjugate()).real for amp in state.values()]
+    deferred = np.bincount(code.astype(np.int64), weights, minlength=immediate.size)
+    diff = np.abs(np.subtract(immediate, deferred, out=deferred), out=deferred)
 
     r = int(np.count_nonzero(kernel == s))
-    p_correct = sum(p for (ybits, sv), p in immediate.items() if sv == s)
-    return DeferredComparison(max_abs_diff, p_correct, r)
+    p_correct = _sum_in_order(prob[kernel[ybits] == s])
+    return DeferredComparison(float(np.max(diff)), p_correct, r)
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +691,8 @@ def hybrid_baseline(cfg: GmsConfig) -> HybridReport:
     accept_probs = []
     for kp in range(1 << cfg.m):
         per_copy = y_marginal(cfg.oracle.residual_table(kp), cfg.n)
-        total = 0.0
-        for ybits, p in _row_distribution(per_copy, cfg.n, cfg.l):
-            if accept[kp, ybits]:
-                total += p
-        accept_probs.append(total)
+        ybits, prob = _row_distribution(per_copy, cfg.n, cfg.l)
+        accept_probs.append(_sum_in_order(prob[accept[kp, ybits]]))
 
     key = cfg.oracle.key
     p_true = accept_probs[key]

@@ -378,6 +378,15 @@ def test_two_to_one_model_counts_the_closed_form(n):
     assert two_to_one_model(2, n, n)["rank_matrices"] == rank_deficit_one_formula(n)
 
 
+@pytest.mark.parametrize(
+    "n, l", [(n, l) for n in range(2, 6) for l in range(1, 7) if n * l + n <= 22]
+)
+def test_two_to_one_model_counts_what_the_kernel_table_counts(n, l):
+    # the model counts by formula; the table, the matrices whose kernel vector is s = 1
+    table = int(np.count_nonzero(analysis._kernel_vector(n, l) == 1))
+    assert two_to_one_model(2, n, l)["rank_matrices"] == table
+
+
 def test_ceiling_decreases_with_key_width():
     values = []
     for m in (1, 2, 3):
