@@ -20,24 +20,24 @@ one gate of the set that does not permute basis states:
   them, one state per column). It plans the circuit with
   ``dense_steps``: each maximal run of permutation gates becomes one
   gather map, the kernel's images of all 2^q indices under the run's
-  inverse (the run reversed, as every gate is its own inverse), and
-  each H stays a step of its own. ``apply_steps`` then gathers the
-  amplitudes once per map, which numpy does faster than the matching
-  scatter, and applies H in place on a reshaped view that puts the
-  target qubit on its own axis, so it may overwrite its input; ``run``
-  passes it a copy. For target t and c columns that view's inner loop
-  runs over 2^t * c contiguous elements, so a low target is bound by
-  loop overhead. The plan therefore stores the state under a qubit
-  relabelling that puts every H target in the top positions (the qubit
-  remapping of Haener and Steiger, "0.5 Petabyte Simulation of a
-  45-Qubit Quantum Circuit", SC17). The relabelling is a set of disjoint
-  swaps, three CNOTs each, planned as gates at both ends of the
-  relabelled circuit, so they join its first and last runs. Only storage
-  order changes, so every amplitude is bit-identical to an unrelabelled
-  run. A plan kept as a list applies to any number of column blocks, and
-  it is only read, so threads may apply it at once. Memory is 2^q complex
-  doubles per column, so a configurable qubit cap guards against
-  accidental blowups.
+  inverse (the run reversed, as every gate is its own inverse), and each
+  H stays a step of its own. ``apply_steps`` then gathers the amplitudes
+  once per map, which numpy does faster than the matching scatter, into
+  the input's buffer and one spare in turn, and applies H in place on a
+  reshaped view that puts the target qubit on its own axis, so it may
+  overwrite its input; ``run`` passes it a copy. For target t and c
+  columns that view's inner loop runs over 2^t * c contiguous elements,
+  so a low target is bound by loop overhead. The plan therefore stores
+  the state under a qubit relabelling that puts every H target in the
+  top positions (the qubit remapping of Haener and Steiger, "0.5
+  Petabyte Simulation of a 45-Qubit Quantum Circuit", SC17). The
+  relabelling is a set of disjoint swaps, three CNOTs each, planned as
+  gates at both ends of the relabelled circuit, so they join its first
+  and last runs. Only storage order changes, so every amplitude is
+  bit-identical to an unrelabelled run. A plan kept as a list applies to
+  any number of column blocks, and it is only read, so threads may apply
+  it at once. Memory is 2^q complex doubles per column, so a
+  configurable qubit cap guards against accidental blowups.
 * ``sparse_apply`` keeps a dict of nonzero amplitudes. A permutation run
   relabels its keys in one kernel call and keeps the dict's order.
   Circuits whose support stays polynomial (few Hadamards, mostly
@@ -174,11 +174,17 @@ def apply_steps(steps, amps: np.ndarray) -> np.ndarray:
     """Apply ``dense_steps`` output to a state or a batch of columns.
 
     Returns the evolved amplitudes. ``amps`` may be overwritten: H works
-    in place, so pass a copy to keep the input.
+    in place and gathers alternate between ``amps`` and one spare buffer,
+    so pass a copy to keep the input.
     """
+    spare = None
     for step in steps:
         if isinstance(step, np.ndarray):
-            amps = np.take(amps, step, axis=0)
+            if spare is None:
+                spare = np.empty_like(amps)
+            # mode="raise" would gather into a buffer of its own; every
+            # index of a plan is in range, so "clip" moves the same values.
+            amps, spare = np.take(amps, step, axis=0, out=spare, mode="clip"), amps
         else:
             amps = _dense_apply(amps, step)
     return amps

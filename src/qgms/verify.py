@@ -188,21 +188,6 @@ def _truth_table(circ, inputs: list[int]) -> list[int]:
     return out.tolist()
 
 
-def _solved_systems() -> tuple[list[int], list[int]]:
-    """Every invertible 3x3 system A x = b as a solver input, with its x.
-
-    Returns the packed register inputs and the classical solutions' bits;
-    both solver circuits share one register layout, so both checks read
-    this one table.
-    """
-    inputs, solutions = [], []
-    for a in _invertible_matrices(3):
-        for b in range(8):
-            inputs.append(synth.pack_matrix(a, b))
-            solutions.append(gaussian_eliminate(a, BitVector(3, b)).bits)
-    return inputs, solutions
-
-
 def _solver_equivalence(jordan: bool, inputs: list[int], solutions: list[int]) -> Check:
     from . import sim
 
@@ -214,40 +199,77 @@ def _solver_equivalence(jordan: bool, inputs: list[int], solutions: list[int]) -
     return Check(name, bad == 0, f"{len(inputs)} systems, {bad} mismatches")
 
 
+def _solver_equivalences() -> list[Check]:
+    """Both solver circuits on every invertible 3x3 system A x = b.
+
+    The packed register inputs and the classical solutions' bits are
+    built once: both solver circuits share one register layout, so both
+    checks read this one table.
+    """
+    inputs, solutions = [], []
+    for a in _invertible_matrices(3):
+        for b in range(8):
+            inputs.append(synth.pack_matrix(a, b))
+            solutions.append(gaussian_eliminate(a, BitVector(3, b)).bits)
+    return [_solver_equivalence(jordan, inputs, solutions) for jordan in (False, True)]
+
+
+def _rref_equivalence() -> Check:
+    """The 3x3 RREF circuit against ``rref`` on all 512 matrices."""
+    matrices = list(_all_matrices(3))
+    outs = _truth_table(synth.rref_circuit(3, 3), [synth.pack_matrix(a) for a in matrices])
+    bad = 0
+    for a, out in zip(matrices, outs):
+        if synth.unpack_matrix(out, 3, 3).row_bits != rref(a).matrix.row_bits:
+            bad += 1
+    return Check("rref_circuit_matches_classical", bad == 0, f"512 matrices, {bad} mismatches")
+
+
 # Columns per block of the norm check. Under two workers, in fresh
 # ``verify circuits`` runs on a 2-core Xeon (medians of 10), widths 4, 5
 # and 10 took 1.45-1.48 s and widths 2 and 20 1.52-1.58 s, while the peak
-# RSS grew with the width: 149, 156, 166 and 187 MB at 2, 5, 10 and 20,
-# as each worker holds one block's gathered copy (5 MB at width 5 and
-# 2^16 amplitudes, kernel_2x2). No block may hold a single column: numpy
-# sums a lone column's norm in another order, so its bits differ.
+# RSS grew with the width, as each worker holds one block's gathered copy
+# (2.6 MB at width 5 and 2^15 amplitudes, search_1_2_1). No block may hold
+# a single column: numpy sums a lone column's norm in another order, so
+# its bits differ.
 _NORM_BLOCK = 5
 # Rows per tile of ``_column_sums`` and of every draw stream
-# (``_drawn_tiles``): a (2049, 5) complex buffer is 160 kB, a (2048, 100)
-# float one 1.6 MB. Tiles of 1024-8192 rows ran equally fast in the runs
-# above, 512 slower.
-_NORM_TILE = 2048
+# (``_drawn_tiles``). The permutation path holds a dozen (tile, count)
+# float tiles at once, 5 MB at count = 100; with 2048-row tiles
+# kernel_2x2's check peaked at 46 instead of 31 MiB under tracemalloc, at
+# about the same speed. A power of two, so tiles of
+# ``_permutation_deviation`` never straddle a block its gather map moves.
+_NORM_TILE = 512
+# Bytes of drawn normals (float64) the norm check holds at a time: half of
+# kernel_2x2's real parts, 10 of search_1_2_1's 20 blocks. The rest is
+# drawn again, from the seed or from a saved generator state, about one
+# more draw of the whole stream for either family. From a small launcher
+# on a 2-core Xeon (10 pairs), ``verify circuits`` peaks at 74 MB in
+# 1.09 s, against 100 MB in 0.90 s with kernel_2x2's whole float plane
+# held; a 13 MiB budget took it to 62 MB for another 0.18 s (4 pairs).
+_NORM_BUDGET = 25 * 2**20
 # Threads of the norm check's pool, one per core of a two-core host.
 _WORKERS = 2
 
 
-def _column_sums(rows: int, width: int, dtype, fill):
+def _column_sums(rows: int, width: int, dtype, fill, height: int = _NORM_TILE):
     """Sums over axis 0 of the real parts of a (rows, width) array.
 
     The array is never held whole: ``fill(row, out)`` writes its rows
-    ``row`` onward into ``out``, one tile of up to ``_NORM_TILE`` rows at
-    a time, in order. numpy's ``np.add.reduce(x.real, axis=0)`` over two
+    ``row`` onward into ``out``, one tile of up to ``height`` rows at a
+    time, in order. numpy's ``np.add.reduce(x.real, axis=0)`` over two
     or more columns adds row by row. Here each tile lands in rows 1.. of
     a small buffer whose row 0 carries the running sums into the tile's
     sum (zeros for the first tile, and 0.0 + p is p), so the additions
-    happen in the same order on the same values, bit for bit.
+    happen in the same order on the same values, bit for bit, whatever
+    the tile height.
     """
     import numpy as np
 
-    buf = np.empty((min(_NORM_TILE, rows) + 1, width), dtype=dtype)
+    buf = np.empty((min(height, rows) + 1, width), dtype=dtype)
     total = np.zeros(width)
-    for row in range(0, rows, _NORM_TILE):
-        part = buf[: min(_NORM_TILE, rows - row) + 1]
+    for row in range(0, rows, height):
+        part = buf[: min(height, rows - row) + 1]
         part[0] = total
         fill(row, part[1:])
         np.add.reduce(part.real, axis=0, out=total)
@@ -271,10 +293,10 @@ def _col_norms(x):
     return np.sqrt(_column_sums(*x.shape, np.complex128, products))
 
 
-def _drawn_tiles(rng, rows: int, width: int):
+def _drawn_tiles(rng, rows: int, width: int, height: int = _NORM_TILE):
     """The rows of one (rows, width) standard normal draw, tile by tile.
 
-    Yields (first row, tile); tiles hold up to ``_NORM_TILE`` rows. Each
+    Yields (first row, tile); tiles hold up to ``height`` rows. Each
     fills the next of three reused buffers through
     ``rng.standard_normal(out=...)``: the same stream as one draw of the
     whole array. The stream's own thread draws up to two tiles ahead of
@@ -285,7 +307,7 @@ def _drawn_tiles(rng, rows: int, width: int):
 
     import numpy as np
 
-    height = min(_NORM_TILE, rows)
+    height = max(1, min(height, rows))
     bufs = [np.empty((height, width)) for _ in range(3)]
 
     def draw(k):
@@ -300,52 +322,75 @@ def _drawn_tiles(rng, rows: int, width: int):
             yield k * height, ahead.pop(0).result()
 
 
+def _replay(state):
+    """A generator that draws on from a saved ``rng.bit_generator.state``."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = state
+    return rng
+
+
 def _permutation_deviation(g, count: int, rng) -> float:
     """``_norm_deviation`` of a circuit whose whole plan is the gather map ``g``.
 
     Output amplitude j is input amplitude g[j], so output norms need only
-    each input's per-row probabilities |z|^2, one float (2^q, count)
-    plane. The real parts are drawn into the plane in one call; the
-    imaginary parts are drawn twice as one stream of ``_drawn_tiles``,
-    from the same generator state. The first pass sums each column's
-    |z|^2 for the input norms; the second divides each tile by them and
-    writes the normalised |z|^2 over the plane. Every product, quotient
-    and sum is the amplitude path's, formed in the same order, and a
-    gather only moves values.
+    each input's per-row probabilities |z|^2. Rows go in tiles of
+    ``_NORM_TILE`` rows, or of 2^(b+1) if g changes bit b of an index,
+    up to all rows: g maps each tile onto itself. The real parts of the
+    first rows that fit ``_NORM_BUDGET`` are drawn and held; the rest of
+    the real parts are drawn past, from a saved generator state, to reach
+    the state where the imaginary parts start. Two passes then replay the
+    streams tile by tile, pairing each tile's real parts (held or drawn
+    again) with its imaginary parts. The first sums each column's |z|^2
+    for the input norms; the second divides each tile by them, forms the
+    normalised |z|^2 and sums it gathered through g. Every product,
+    quotient and sum is the amplitude path's, formed in the same order,
+    and a gather only moves values.
     """
     from contextlib import closing
 
     import numpy as np
 
     size = len(g)
-    plane = rng.standard_normal((size, count))
-    state = rng.bit_generator.state
-    x = np.empty((min(_NORM_TILE, size), count), dtype=np.complex128)
-    prod = np.empty_like(x)
-    imag = _drawn_tiles(rng, size, count)
+    moved = int(np.bitwise_or.reduce(g ^ np.arange(size)))
+    height = min(size, max(_NORM_TILE, 1 << moved.bit_length()))
+    held = min(size, _NORM_BUDGET // (8 * max(count, 1)) // height * height)
+    real = rng.standard_normal((held, count))
+    rest = rng.bit_generator.state
+    for _ in _drawn_tiles(rng, size - held, count, height):
+        pass
+    imag = rng.bit_generator.state
+
+    def tiles():
+        """Set ``x`` to each tile's amplitudes in turn, one per ``next``."""
+        ims = _drawn_tiles(_replay(imag), size, count, height)
+        res = _drawn_tiles(_replay(rest), size - held, count, height)
+        with closing(ims), closing(res):
+            for row, im in ims:
+                x.real = real[row : row + height] if row < held else next(res)[1]
+                x.imag = im
+                yield
+
+    x = np.empty((height, count), dtype=np.complex128)
+    p = np.empty_like(x)
 
     def products(row, out):
-        out.real = plane[row : row + len(out)]
-        out.imag = next(imag)[1]
-        np.conjugate(out, out=x[: len(out)])
-        np.multiply(x[: len(out)], out, out=out)
-
-    with closing(imag):
-        norms = np.sqrt(_column_sums(size, count, np.complex128, products))
-    rng.bit_generator.state = state
-    for row, part in _drawn_tiles(rng, size, count):
-        z, p = x[: len(part)], prod[: len(part)]
-        z.real = plane[row : row + len(part)]
-        z.imag = part
-        z /= norms
-        np.conjugate(z, out=p)
-        np.multiply(p, z, out=p)
-        plane[row : row + len(part)] = p.real
+        next(stream)
+        np.conjugate(x, out=p)
+        np.multiply(p, x, out=out)
 
     def gathered(row, out):
-        np.take(plane, g[row : row + len(out)], axis=0, out=out)
+        next(stream)
+        np.divide(x, norms, out=x)
+        np.conjugate(x, out=p)
+        np.multiply(p, x, out=p)
+        np.take(p.real, g[row : row + height] - row, axis=0, out=out, mode="clip")
 
-    total = _column_sums(size, count, np.float64, gathered)
+    with closing(tiles()) as stream:
+        norms = np.sqrt(_column_sums(size, count, np.complex128, products, height))
+    with closing(tiles()) as stream:
+        total = _column_sums(size, count, np.float64, gathered, height)
     return float(np.max(np.abs(np.sqrt(total) - 1.0), initial=0.0))
 
 
@@ -353,29 +398,31 @@ def _norm_deviation(circ, count: int, seed: int) -> float:
     """Largest |norm - 1| over ``count`` random unit states run through ``circ``.
 
     The states are the columns of one (2^q, count) batch of normals, real
-    parts then imaginary parts. The circuit is planned first, so the
-    qubit cap is checked before anything is allocated.
+    parts then imaginary parts, but no path holds the batch: each holds
+    at most ``_NORM_BUDGET`` bytes of drawn values and draws the rest
+    again, from the seed or from a saved generator state. The circuit is
+    planned first, so the qubit cap is checked before anything is
+    allocated.
 
     A circuit without H plans to one gather map, and
-    ``_permutation_deviation`` takes the deviation from one float
-    (2^q, count) plane of per-row probabilities, 8 bytes per amplitude
-    (52 MB for kernel_2x2 at q = 16), plus about 16 MB of row tiles at
-    count = 100.
+    ``_permutation_deviation`` takes the deviation from per-row
+    probabilities, tile by tile.
 
-    Any other circuit takes the amplitude path, 16 bytes per amplitude
-    (105 MB at q = 16): the real parts, then the imaginary parts, are
-    drawn as two streams of ``_drawn_tiles`` into a block-major buffer,
-    where block b holds columns b*_NORM_BLOCK onward as one contiguous
-    (2^q, _NORM_BLOCK) array. A pool of ``_WORKERS`` threads then
-    normalises each block and runs it in place through one plan of the
-    circuit (which stores the state with every H target on its outer
-    qubits; see ``sim.dense_steps``).
+    Any other circuit takes the amplitude path. Its blocks hold
+    ``_NORM_BLOCK`` columns each, as one contiguous (2^q, _NORM_BLOCK)
+    complex array, and run in groups of as many blocks as fit the budget
+    (10 of the 20 at q = 15). For each group the whole stream is drawn
+    from the seed, real parts then imaginary parts, as two streams of
+    ``_drawn_tiles``, and only the group's columns are kept. A pool of
+    ``_WORKERS`` threads then normalises each block and runs it in place
+    through one plan of the circuit (which stores the state with every H
+    target on its outer qubits; see ``sim.dense_steps``).
 
     Either way each column's norm is the same sum of the same products,
     added in the same order, and it does not depend on which columns
-    share its block or which thread runs it; the largest deviation does
-    not depend on the order the blocks finish in. So both paths equal
-    one run of the whole batch bit for bit.
+    share its block or group or which thread runs it; the largest
+    deviation does not depend on the order the blocks finish in. So both
+    paths equal one run of the whole batch bit for bit.
 
     Raises:
         ValueError: if ``count`` is not a multiple of ``_NORM_BLOCK``.
@@ -389,24 +436,32 @@ def _norm_deviation(circ, count: int, seed: int) -> float:
     from . import sim
 
     steps = list(sim.dense_steps(circ))
-    rng = np.random.default_rng(seed)
     if len(steps) == 1 and isinstance(steps[0], np.ndarray):
-        return _permutation_deviation(steps[0], count, rng)
+        return _permutation_deviation(steps[0], count, np.random.default_rng(seed))
     size = 1 << circ.qubit_count
-    z = np.empty((count // _NORM_BLOCK, size, _NORM_BLOCK), dtype=np.complex128)
-    for part in (z.real, z.imag):
-        for row, tile in _drawn_tiles(rng, size, count):
-            h = len(tile)
-            part[:, row : row + h] = tile.reshape(h, -1, _NORM_BLOCK).transpose(1, 0, 2)
-    del tile  # its buffer would pin about 6 MB of freed heap while the blocks run
+    blocks = count // _NORM_BLOCK
+    group = max(1, _NORM_BUDGET // (16 * size * _NORM_BLOCK))
+    z = np.empty((min(group, blocks), size, _NORM_BLOCK), dtype=np.complex128)
 
     def deviation(block):
         block /= _col_norms(block)
         out = sim.apply_steps(steps, block)
         return float(np.max(np.abs(_col_norms(out) - 1.0)))
 
+    deviations = []
     with ThreadPoolExecutor(_WORKERS) as pool:
-        return _nan_max(pool.map(deviation, z))
+        for first in range(0, blocks, group):
+            held = z[: min(group, blocks - first)]
+            cols = slice(first * _NORM_BLOCK, (first + len(held)) * _NORM_BLOCK)
+            rng = np.random.default_rng(seed)
+            for part in (held.real, held.imag):
+                for row, tile in _drawn_tiles(rng, size, count):
+                    h = len(tile)
+                    columns = tile[:, cols].reshape(h, -1, _NORM_BLOCK)
+                    part[:, row : row + h] = columns.transpose(1, 0, 2)
+            del tile, columns  # they would pin freed heap while the blocks run
+            deviations += pool.map(deviation, held)
+    return _nan_max(deviations)
 
 
 def _norm_circuits() -> list[tuple[str, object]]:
@@ -429,17 +484,9 @@ def suite_circuits() -> SuiteResult:
     """Circuit-vs-classical equivalence, resource tallies, unitarity."""
     res = SuiteResult("circuits")
 
-    solved = _solved_systems()
-    res.checks.append(_solver_equivalence(False, *solved))
-    res.checks.append(_solver_equivalence(True, *solved))
-
-    matrices = list(_all_matrices(3))
-    outs = _truth_table(synth.rref_circuit(3, 3), [synth.pack_matrix(a) for a in matrices])
-    bad = 0
-    for a, out in zip(matrices, outs):
-        if synth.unpack_matrix(out, 3, 3).row_bits != rref(a).matrix.row_bits:
-            bad += 1
-    res.add("rref_circuit_matches_classical", bad == 0, f"512 matrices, {bad} mismatches")
+    # Each table below dies with its helper's frame, before the norm check.
+    res.checks.extend(_solver_equivalences())
+    res.checks.append(_rref_equivalence())
 
     bad = []
     for n in range(2, 9):

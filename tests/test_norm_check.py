@@ -1,8 +1,10 @@
 """The circuits suite's norm check: reproducible inputs, draw streams that
 equal one whole draw and join their threads, blocks that give the same
 bits as one full batch whichever thread runs them, column norms that
-equal numpy's, and permutation-only circuits checked on one float plane
-of probabilities instead of a complex batch."""
+equal numpy's, permutation-only circuits checked on per-row
+probabilities instead of a complex batch, and a bounded budget of held
+draws: with any budget, whatever is not held is drawn again from a saved
+generator state and every result keeps its bits."""
 
 import threading
 import tracemalloc
@@ -11,6 +13,9 @@ import numpy as np
 import pytest
 
 from qgms import sim, verify
+from qgms.circuit import Circuit
+
+TILE = verify._NORM_TILE
 
 
 def one_shot_norm_deviation(circ, count, seed):
@@ -67,7 +72,9 @@ def carried_float_sums(x):
         # ids: "height-width" for complex input, "height-width-float" for float
         pytest.param(h, w, dtype, id=f"{h}-{w}" + ("-float" if dtype == "float" else ""))
         for dtype in ("complex", "float")
-        for h in (1, verify._NORM_TILE - 1, verify._NORM_TILE, verify._NORM_TILE + 1, 3 * verify._NORM_TILE + 7)
+        # around one tile and around four, each also with a short last tile
+        for h in (1, TILE - 1, TILE, TILE + 1, 3 * TILE + 7)
+        + (4 * TILE - 1, 4 * TILE, 4 * TILE + 1, 12 * TILE + 7)
         for w in (2, 5, 10, 13)
     ],
 )
@@ -112,7 +119,7 @@ def test_two_worker_norm_deviation_equals_serial_loop_bit_for_bit():
 
 
 @pytest.mark.parametrize(
-    "rows", [1, verify._NORM_TILE - 1, verify._NORM_TILE, 2 * verify._NORM_TILE + 7]
+    "rows", [1, TILE - 1, TILE, 2 * TILE + 7, 4 * TILE - 1, 4 * TILE, 8 * TILE + 7]
 )
 @pytest.mark.parametrize("width", [1, 5, 100])
 def test_drawn_tiles_equal_one_whole_draw_bit_for_bit(rows, width):
@@ -126,7 +133,7 @@ def test_drawn_tiles_equal_one_whole_draw_bit_for_bit(rows, width):
 
 def test_closing_a_draw_stream_joins_its_thread():
     before = threading.active_count()
-    tiles = verify._drawn_tiles(np.random.default_rng(0), 3 * verify._NORM_TILE, 5)
+    tiles = verify._drawn_tiles(np.random.default_rng(0), 3 * TILE, 5)
     next(tiles)
     assert threading.active_count() == before + 1
     tiles.close()
@@ -173,16 +180,61 @@ def test_only_circuits_with_hadamards_run_amplitudes(monkeypatch):
             assert calls, label
 
 
-def test_permutation_only_norm_check_holds_no_complex_batch():
-    """One complex (2^16, 100) batch is 100 MiB; the float plane is 50 MiB."""
-    circ = dict(verify._norm_circuits())["kernel_2x2"]
+def traced_peak(label):
+    """tracemalloc's peak over one ``_norm_deviation`` of the named family."""
+    seed, circ = next(
+        (i, c) for i, (name, c) in enumerate(verify._norm_circuits()) if name == label
+    )
     tracemalloc.start()
     try:
-        verify._norm_deviation(circ, 100, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
+        verify._norm_deviation(circ, 100, seed=seed)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2**20
+
+
+def test_permutation_only_norm_check_holds_no_complex_batch():
+    """One complex (2^16, 100) batch is 100 MiB, its real parts 50 MiB; the
+    check holds 25 MiB of them and tiles of 512 rows."""
+    assert traced_peak("kernel_2x2") <= 40 * 2**20
+
+
+def test_amplitude_norm_check_holds_half_its_blocks():
+    """search_1_2_1's complex (2^15, 100) batch is 50 MiB; the check holds
+    10 of its 20 blocks, 25 MiB, while two workers run them."""
+    assert traced_peak("search_1_2_1") <= 40 * 2**20
+
+
+def top_flip_circuit(q):
+    """A permutation circuit whose gather map changes the top index bit."""
+    circ = Circuit(q)
+    circ.x(q - 1)
+    circ.cnot(0, q - 1)
+    circ.toffoli(q - 1, 1, 2)
+    return circ
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        pytest.param(1, id="nothing-held"),
+        # two of search_1_2_1's blocks, so its 3 blocks run as 2 + 1, and
+        # 43,520 of kernel_2x2's 65,536 rows at 15 states
+        pytest.param(2 * 16 * verify._NORM_BLOCK << 15, id="partly-held"),
+    ],
+)
+def test_any_budget_gives_the_bits_of_one_shot_batch(monkeypatch, budget):
+    """Held values and values drawn again from saved states meet at every
+    boundary: no held row, a held part of the rows, groups of one block,
+    a short last group, and a tile of all 2^13 rows."""
+    monkeypatch.setattr(verify, "_NORM_BUDGET", budget)
+    top_flip = top_flip_circuit(13)
+    (g,) = sim.dense_steps(top_flip)
+    assert np.any(g >> 12 != np.arange(1 << 13) >> 12) and 1 << 13 > 4 * TILE
+    families = verify._norm_circuits() + [("top_flip_13", top_flip)]
+    for seed, (label, circ) in enumerate(families):
+        got = verify._norm_deviation(circ, 15, seed=seed)
+        assert got.hex() == one_shot_norm_deviation(circ, 15, seed).hex(), label
 
 
 def test_an_empty_batch_deviates_by_zero_on_both_paths():
