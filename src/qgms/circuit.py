@@ -187,27 +187,16 @@ class Circuit:
         else:
             self.append(Gate("H", (q,)))
 
-    # cnot and toffoli, nearly every solver gate, inline _valid_gate's body.
     def cnot(self, control: int, target: int) -> None:
         if 0 <= control < self.qubit_count and 0 <= target < self.qubit_count and control != target:
-            gate = object.__new__(Gate)
-            _set_kind(gate, "CNOT")
-            _set_targets(gate, (target,))
-            _set_controls(gate, (control,))
-            _set_table(gate, None)
-            self.gates.append(gate)
+            self.gates.append(_valid_gate("CNOT", (target,), (control,)))
         else:
             self.append(Gate("CNOT", (target,), (control,)))
 
     def toffoli(self, c1: int, c2: int, target: int) -> None:
         n = self.qubit_count
         if 0 <= c1 < n and 0 <= c2 < n and 0 <= target < n and c1 != c2 != target != c1:
-            gate = object.__new__(Gate)
-            _set_kind(gate, "TOFFOLI")
-            _set_targets(gate, (target,))
-            _set_controls(gate, (c1, c2))
-            _set_table(gate, None)
-            self.gates.append(gate)
+            self.gates.append(_valid_gate("TOFFOLI", (target,), (c1, c2)))
         else:
             self.append(Gate("TOFFOLI", (target,), (c1, c2)))
 

@@ -14,11 +14,10 @@ count does not depend on which s is chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .gf2 import parity
+from .gf2 import dot_zero_table
 
 
 class EnumerationTooLarge(Exception):
@@ -26,11 +25,10 @@ class EnumerationTooLarge(Exception):
 
 
 BRUTE_LIMIT = 5
-# Matrices ranked per chunk of the brute count: n = 5 takes 16 chunks and
-# n <= 4 one, so a gms report below n = 5 starts no thread.
+# Matrices ranked per chunk of the brute count (n = 5 takes 16 chunks, n <= 4
+# one): the n = 5 count peaks about 3 MB above its start, and one pass over
+# all 2^20 matrices about 31 MB.
 _COUNT_CHUNK = 1 << 16
-# Threads of the brute count's pool, one per core of a two-core host.
-_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -51,17 +49,11 @@ def rank_deficit_one_formula(n: int) -> int:
     return out
 
 
-def _hyperplane(n: int, s: int) -> list[int]:
-    return [x for x in range(1 << n) if parity(x & s) == 0]
-
-
 def brute_count_rank_n_minus_1(n: int, s: int = 1) -> int:
     """Enumerate every row choice and count rank-(n-1) outcomes.
 
     The 2^((n-1)n) matrices are ranked in chunks of ``_COUNT_CHUNK``
-    (see ``_chunk_hits``). An enumeration of one chunk runs in the
-    calling thread; a longer one is shared by a pool of ``_WORKERS``
-    threads, whose integer counts add up to the same total in any order.
+    (see ``_chunk_hits``), one after another in the calling thread.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -71,14 +63,9 @@ def brute_count_rank_n_minus_1(n: int, s: int = 1) -> int:
         )
     if not 0 < s < (1 << n):
         raise ValueError("s must be a nonzero n-bit value")
-    hits = partial(_chunk_hits, np.array(_hyperplane(n, s), dtype=np.uint8), n)
+    hyperplane = np.flatnonzero(dot_zero_table(n)[:, s]).astype(np.uint8)
     starts = range(0, 1 << ((n - 1) * n), _COUNT_CHUNK)
-    if len(starts) == 1:
-        return hits(0)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        return sum(pool.map(hits, starts))
+    return sum(_chunk_hits(hyperplane, n, start) for start in starts)
 
 
 def _chunk_hits(hyperplane: np.ndarray, n: int, start: int) -> int:

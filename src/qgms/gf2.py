@@ -277,6 +277,14 @@ def nullspace_basis(a: BitMatrix) -> list[BitVector]:
     return basis
 
 
+def dot_zero_table(n: int) -> np.ndarray:
+    """dot[y, s] = (y . s == 0) for every pair of n-bit values, as bools."""
+    import numpy as np  # only here, so the rest of gf2 loads without numpy
+
+    size = 1 << n
+    return np.array([[parity(y & s) == 0 for s in range(size)] for y in range(size)])
+
+
 def orthogonal_table(n: int, l: int) -> np.ndarray:
     """orth[Y, s] for every packed l x n matrix Y and every s < 2^n.
 
@@ -296,7 +304,7 @@ def orthogonal_table(n: int, l: int) -> np.ndarray:
     import numpy as np  # only here, so the rest of gf2 loads without numpy
 
     size = 1 << n
-    dot_zero = np.array([[parity(y & s) == 0 for s in range(size)] for y in range(size)])
+    dot_zero = dot_zero_table(n)
     ys = np.arange(1 << (n * l))
     orth = np.ones((ys.size, size), dtype=bool)
     for j in range(l):

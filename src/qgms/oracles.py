@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit
-from .gf2 import parity
+from .gf2 import dot_zero_table
 
 
 class ZeroPeriod(Exception):
@@ -139,20 +139,12 @@ def y_marginal(table: list[int] | tuple[int, ...], n: int) -> list[float]:
     P(y) = sum_v |sum_{x: f(x)=v} (-1)^(x.y)|^2 / 4^n. A permutation table
     gives the uniform distribution; a 2-to-1 table with period s gives the
     uniform distribution on the subspace orthogonal to s; a constant table
-    concentrates everything on y = 0.
+    concentrates everything on y = 0. Each f(x) is an n-bit value.
     """
-    size = 1 << n
-    out = []
-    for y in range(size):
-        total = 0.0
-        by_value: dict[int, int] = {}
-        for x in range(size):
-            sign = -1 if parity(x & y) else 1
-            by_value[table[x]] = by_value.get(table[x], 0) + sign
-        for acc in by_value.values():
-            total += float(acc * acc)
-        out.append(total / (size * size))
-    return out
+    signs = np.where(dot_zero_table(n), 1, -1)  # (-1)^(x.y), symmetric in x and y
+    acc = signs @ np.eye(1 << n, dtype=np.int64)[list(table)]  # one column per value v
+    # exact integers up to here, so each P(y) is one correctly rounded division
+    return ((acc * acc).sum(axis=1) / 4**n).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -347,9 +347,10 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 
 
 def test_gms_report_runs_its_count_in_the_calling_thread(tmp_path):
-    """A gms report counts at n <= 4, one chunk, so it loads no thread pool;
-    the n = 5 count of ``verify counting`` does (fresh interpreter, since
-    pytest may have loaded ``concurrent.futures`` already)."""
+    """The rank count runs its chunks in the calling thread, so neither a gms
+    report nor the n = 5 count of ``verify counting`` loads a thread pool
+    (fresh interpreter, since pytest may have loaded ``concurrent.futures``
+    already)."""
     proc = subprocess.run(
         [sys.executable, "-c", _POOL_CHECKPOINTS, str(tmp_path / "o")],
         cwd=tmp_path,
@@ -359,5 +360,5 @@ def test_gms_report_runs_its_count_in_the_calling_thread(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "codes": [0, 0],
-        "loaded": {"qgms gms --n 4": False, "qgms verify counting": True},
+        "loaded": {"qgms gms --n 4": False, "qgms verify counting": False},
     }

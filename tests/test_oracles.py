@@ -211,6 +211,44 @@ def test_y_marginal_worked_examples():
     assert y_marginal([0, 2, 2, 0], 2) == pytest.approx([0.5, 0.0, 0.0, 0.5])
 
 
+def dict_loop_y_marginal(table, n):
+    """The earlier y_marginal: per y, a dict of signed sums over f's values."""
+    size = 1 << n
+    out = []
+    for y in range(size):
+        total = 0.0
+        by_value = {}
+        for x in range(size):
+            sign = -1 if parity(x & y) else 1
+            by_value[table[x]] = by_value.get(table[x], 0) + sign
+        for acc in by_value.values():
+            total += float(acc * acc)
+        out.append(total / (size * size))
+    return out
+
+
+def test_y_marginal_has_the_dict_loop_bits():
+    from qgms.verify import DEFERRED_GRID, REFERENCE
+
+    rng = np.random.default_rng(29)
+    tables = [
+        (rng.integers(0, 1 << rng.integers(0, n + 1), size=1 << n).tolist(), n)
+        for n in range(1, 7)
+        for _ in range(30)
+    ]
+    # the Simon tables of `verify deferred` and the residuals of `verify gms`
+    tables += [
+        (build_simon_oracle(n, s, rng=5).table, n)
+        for n in sorted({n for n, _ in DEFERRED_GRID})
+        for s in range(1, 1 << n)
+    ]
+    fx = build_fx_oracle(**REFERENCE)
+    tables += [(fx.residual_table(kp), fx.n) for kp in range(1 << fx.m)]
+    for table, n in tables:
+        got = [p.hex() for p in y_marginal(table, n)]
+        assert got == [p.hex() for p in dict_loop_y_marginal(table, n)], (table, n)
+
+
 def test_y_marginal_matches_simulated_round_for_residuals():
     fx = build_fx_oracle(m=2, n=2, key=2, k1=3, k2=1, cipher_seed=7)
     for kp in range(4):
