@@ -217,9 +217,17 @@ def main(argv: list[str] | None = None) -> int:
         gc.disable()
     try:
         return {"synth": cmd_synth, "verify": cmd_verify, "gms": cmd_gms}[args.command](args)
-    except (QubitCapExceeded, MemoryError) as exc:
-        print(str(exc) or "out of memory", file=sys.stderr)
-        return 3
+    except MemoryError as exc:
+        # Memory may still be full here: the traceback and the errors chained while
+        # unwinding hold the frames whose objects filled it. So the clause names
+        # one class (a tuple of two is built when matched) and only drops those
+        # references; the message is printed once that memory is free.
+        exc.__traceback__ = exc.__context__ = None
+        failure = exc
+    except QubitCapExceeded as exc:
+        failure = exc
     finally:
         if was:
             gc.enable()
+    print(str(failure) or "out of memory", file=sys.stderr)
+    return 3

@@ -217,6 +217,18 @@ def test_failed_allocation_under_a_raised_cap_exits_3(tmp_path, args, limit, tim
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("limit_mb", [100, 108, 132, 151, 184, 216])
+def test_synth_that_fills_memory_exits_3_whichever_allocation_fails(tmp_path, limit_mb):
+    """The limit decides where the growing gate lists run out of memory, and
+    with it what the unwinding still finds free; at each, exit 3, one line."""
+    limit = _limit_address_space(limit_mb << 20)
+    proc = run_cli(["synth", "qge", "--n", "200"], tmp_path, {"QGMS_QUBIT_CAP": "58"}, limit)
+    assert proc.returncode == 3
+    assert proc.stderr == "out of memory\n"
+    assert proc.stdout == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_gms_report_and_reproducibility(tmp_path):
     args = ["gms", "--m", "2", "--n", "2", "--l", "2", "--t-max", "4", "--seed", "7"]
     env = {"SOURCE_DATE_EPOCH": "1700000000"}
