@@ -32,7 +32,7 @@ import numpy as np
 from . import sim
 from .amplify import grover_probability
 from .circuit import Circuit, Gate
-from .gf2 import BitMatrix, nullspace_basis, orthogonal_table, parity
+from .gf2 import orthogonal_table, parity
 from .counting import count_rank_n_minus_1, rank_deficit_one_formula
 from .oracles import (
     FxOracle,
@@ -135,25 +135,6 @@ def prepare_initial_state(cfg: GmsConfig) -> sim.StateVector:
 # The classical marking predicate
 
 
-def ug_classifier(k_prime, y_matrix: BitMatrix, oracle: FxOracle, plaintexts) -> int:
-    """1 iff the y rows pin down a single candidate period that checks out.
-
-    The kernel basis must hold exactly one vector s (rank n-1); the oracle
-    residual at the integer key k' must then collide on p and p xor s for
-    every provided plaintext p. Anything else returns 0.
-    """
-    if not plaintexts:
-        raise ValueError("plaintexts must be nonempty")
-    basis = nullspace_basis(y_matrix)
-    if len(basis) != 1:
-        return 0
-    s = basis[0].bits
-    for p in plaintexts:
-        if oracle.residual(k_prime, p) != oracle.residual(k_prime, p ^ s):
-            return 0
-    return 1
-
-
 @lru_cache(maxsize=8)
 def _kernel_vector(n: int, l: int) -> np.ndarray:
     """kernel[packed Y]: the nonzero s with Y s = 0 if Y has rank n-1, else 0.
@@ -177,7 +158,7 @@ def _passes(cfg: GmsConfig) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _accept_table(cfg: GmsConfig) -> np.ndarray:
-    """accept[k', packed Y]: ``ug_classifier`` for every key value and row content.
+    """accept[k', packed Y]: Y has rank n-1 and its kernel vector s has passes[k', s].
 
     Read-only, because the cache hands the same array to every caller.
     """
@@ -654,27 +635,8 @@ class HybridReport:
     success: float
 
 
-def hybrid_accept(k_prime: int, rows, oracle: FxOracle, plaintexts) -> int:
-    """1 iff some nonzero kernel candidate of the rows passes every check.
-
-    Classical postprocessing is free to try each candidate period in the
-    kernel (two oracle evaluations per plaintext each); when the rank is
-    n-1 this reduces to the single-candidate classifier.
-    """
-    n = oracle.n
-    for cand in range(1, 1 << n):
-        if any(parity(row & cand) for row in rows):
-            continue
-        if all(
-            oracle.residual(k_prime, p) == oracle.residual(k_prime, p ^ cand)
-            for p in plaintexts
-        ):
-            return 1
-    return 0
-
-
 def _hybrid_table(cfg: GmsConfig) -> np.ndarray:
-    """accept[k', packed Y]: ``hybrid_accept`` for every key value and row content."""
+    """accept[k', packed Y]: some s with Y s = 0 has passes[k', s]."""
     return _passes(cfg) @ orthogonal_table(cfg.n, cfg.l).T
 
 

@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit
-from .gf2 import dot_zero_table
 
 
 class ZeroPeriod(Exception):
@@ -140,11 +139,21 @@ def y_marginal(table: list[int] | tuple[int, ...], n: int) -> list[float]:
     gives the uniform distribution; a 2-to-1 table with period s gives the
     uniform distribution on the subspace orthogonal to s; a constant table
     concentrates everything on y = 0. Each f(x) is an n-bit value.
+
+    Expanding the square gives 4^n P(y) = sum_d C(d) (-1)^(d.y) with
+    C(d) = #{x : f(x) = f(x xor d)}, so the counts go through an n-pass
+    Walsh-Hadamard butterfly on Python ints.
     """
-    signs = np.where(dot_zero_table(n), 1, -1)  # (-1)^(x.y), symmetric in x and y
-    acc = signs @ np.eye(1 << n, dtype=np.int64)[list(table)]  # one column per value v
+    f = np.asarray(table)
+    x = np.arange(1 << n)
+    acc = [int(np.count_nonzero(f == f[x ^ d])) for d in x]
+    for k in range(n):  # one butterfly pass per bit of d
+        h = 1 << k
+        for i in range(len(acc)):
+            if i & h:
+                acc[i - h], acc[i] = acc[i - h] + acc[i], acc[i - h] - acc[i]
     # exact integers up to here, so each P(y) is one correctly rounded division
-    return ((acc * acc).sum(axis=1) / 4**n).tolist()
+    return [c / 4**n for c in acc]
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,6 @@ one gate of the set that does not permute basis states:
   the amplitudes of magnitude at most ``_PRUNE``, the residues that
   cancellation leaves.
 
-``run_basis`` tracks a single basis state as one integer, gate by gate.
-It is the scalar reference the kernel is tested against, and it makes
-exhaustive truth-table tests of the big reversible constructions cheap.
 The search analysis uses ``run_basis_batch`` to prove, once per
 configuration, what one amplification round does to every basis input.
 """
@@ -262,32 +259,12 @@ def sparse_apply(state: dict[int, complex], gates: list[Gate]) -> dict[int, comp
 # Basis tracker
 
 
-def run_basis(circ: Circuit, bits: int) -> int:
-    """Track one basis state through a permutation-only circuit.
-
-    An ORACLE gate XORs bit j of its table entry into its j-th target.
-
-    Raises:
-        ValueError: on H, which does not permute basis states.
-    """
-    for gate in circ.gates:
-        if gate.kind == "H":
-            raise ValueError(f"{gate.kind} is not a permutation gate")
-        if gate.kind == "ORACLE":
-            delta = gate.table[extract_bits(bits, gate.controls)]
-            for j, t in enumerate(gate.targets):
-                bits ^= ((delta >> j) & 1) << t
-        elif all((bits >> c) & 1 for c in gate.controls):
-            bits ^= 1 << gate.targets[0]
-    return bits
-
-
 def run_basis_batch(gates: list[Gate], bits: np.ndarray) -> np.ndarray:
     """Track an array of basis states through permutation-only gates.
 
     ``bits`` holds basis indices, int64 or Python ints of any width in an
     object array; the result is a new array of the same dtype whose entry
-    i is the image of ``bits[i]``, as ``run_basis`` computes it. The gates
+    i is the image of ``bits[i]`` under the gates, in order. The gates
     act on bit planes (bit slicing, as in Biham, "A fast new DES
     implementation in software", FSE 1997): each touched qubit's bit of
     every index, packed eight to a byte. An X/CNOT/TOFFOLI/MCX XORs the

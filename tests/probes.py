@@ -1,7 +1,13 @@
-"""Readouts of dense states and a BitMatrix builder shared by the tests.
+"""Readouts of dense states, a BitMatrix builder and scalar references.
 
 Built only from what the package exports: a state's ``amps``,
-``sim.extract_bits`` and the ``BitMatrix`` constructor.
+``sim.extract_bits``, ``gf2`` and an oracle's ``residual``. The scalar
+references compute one value at a time what the package computes in
+tables or batches: ``run_basis`` tracks one basis state gate by gate,
+the reference for ``sim.run_basis_batch`` that also makes exhaustive
+truth-table tests of the reversible constructions cheap;
+``ug_classifier`` and ``hybrid_accept`` are the references for the
+accept tables of ``analysis``.
 """
 
 from __future__ import annotations
@@ -10,7 +16,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from qgms.gf2 import BitMatrix
+from qgms.circuit import Circuit
+from qgms.gf2 import BitMatrix, nullspace_basis, parity
+from qgms.oracles import FxOracle
 from qgms.sim import StateVector, extract_bits
 
 
@@ -46,3 +54,61 @@ def bit_matrix(rows: list[list[int]]) -> BitMatrix:
     """The BitMatrix whose row i has entry j = rows[i][j]."""
     packed = [sum(e << j for j, e in enumerate(row)) for row in rows]
     return BitMatrix(len(rows), len(rows[0]), packed)
+
+
+def run_basis(circ: Circuit, bits: int) -> int:
+    """Track one basis state through a permutation-only circuit.
+
+    An ORACLE gate XORs bit j of its table entry into its j-th target.
+
+    Raises:
+        ValueError: on H, which does not permute basis states.
+    """
+    for gate in circ.gates:
+        if gate.kind == "H":
+            raise ValueError(f"{gate.kind} is not a permutation gate")
+        if gate.kind == "ORACLE":
+            delta = gate.table[extract_bits(bits, gate.controls)]
+            for j, t in enumerate(gate.targets):
+                bits ^= ((delta >> j) & 1) << t
+        elif all((bits >> c) & 1 for c in gate.controls):
+            bits ^= 1 << gate.targets[0]
+    return bits
+
+
+def ug_classifier(k_prime, y_matrix: BitMatrix, oracle: FxOracle, plaintexts) -> int:
+    """1 iff the y rows pin down a single candidate period that checks out.
+
+    The kernel basis must hold exactly one vector s (rank n-1); the oracle
+    residual at the integer key k' must then collide on p and p xor s for
+    every provided plaintext p. Anything else returns 0.
+    """
+    if not plaintexts:
+        raise ValueError("plaintexts must be nonempty")
+    basis = nullspace_basis(y_matrix)
+    if len(basis) != 1:
+        return 0
+    s = basis[0].bits
+    for p in plaintexts:
+        if oracle.residual(k_prime, p) != oracle.residual(k_prime, p ^ s):
+            return 0
+    return 1
+
+
+def hybrid_accept(k_prime: int, rows, oracle: FxOracle, plaintexts) -> int:
+    """1 iff some nonzero kernel candidate of the rows passes every check.
+
+    Classical postprocessing is free to try each candidate period in the
+    kernel (two oracle evaluations per plaintext each); when the rank is
+    n-1 this reduces to the single-candidate classifier.
+    """
+    n = oracle.n
+    for cand in range(1, 1 << n):
+        if any(parity(row & cand) for row in rows):
+            continue
+        if all(
+            oracle.residual(k_prime, p) == oracle.residual(k_prime, p ^ cand)
+            for p in plaintexts
+        ):
+            return 1
+    return 0

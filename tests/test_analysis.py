@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from probes import marginal
+from probes import hybrid_accept, marginal, ug_classifier
 
 from qgms import analysis, sim, verify
 from qgms.analysis import (
@@ -20,7 +20,6 @@ from qgms.analysis import (
     classifier_mask,
     coset_character_sum,
     deferred_vs_immediate,
-    hybrid_accept,
     hybrid_baseline,
     optimal_iterations,
     prepare_initial_state,
@@ -29,7 +28,6 @@ from qgms.analysis import (
     run_gms_per_gate,
     success_mask,
     two_to_one_model,
-    ug_classifier,
 )
 from qgms.counting import rank_deficit_one_formula
 from qgms.gf2 import BitMatrix

@@ -15,14 +15,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Public names nothing in the package or the benchmark names, and why they stay.
-ALLOWED = {
-    "sim.run_basis": "scalar reference the tests compare the batched kernel against",
-    "analysis.ug_classifier": "scalar reference the tests compare the accept table against",
-    "analysis.hybrid_accept": "scalar reference the tests compare the hybrid baseline against",
-}
-
-
 def public_definitions() -> dict[str, str]:
     """``{"module.func" or "module.Class.method": bare name}`` over src/qgms."""
     out = {}
@@ -55,4 +47,4 @@ def referenced_names() -> set[str]:
 def test_every_public_function_is_used_outside_the_tests():
     used = referenced_names()
     unused = {label for label, name in public_definitions().items() if name not in used}
-    assert unused == set(ALLOWED)
+    assert unused == set()

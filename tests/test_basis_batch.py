@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from probes import basis_state
+from probes import basis_state, run_basis
 
 from qgms.circuit import Circuit, Gate
 from qgms.sim import (
@@ -18,7 +18,6 @@ from qgms.sim import (
     apply_steps,
     dense_steps,
     run,
-    run_basis,
     run_basis_batch,
     sparse_apply,
 )

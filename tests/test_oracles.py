@@ -244,9 +244,35 @@ def test_y_marginal_has_the_dict_loop_bits():
     ]
     fx = build_fx_oracle(**REFERENCE)
     tables += [(fx.residual_table(kp), fx.n) for kp in range(1 << fx.m)]
+    # wider: a random map, a permutation and a Simon table at n = 7 and 8
+    tables += [
+        (table, n)
+        for n in (7, 8)
+        for table in (
+            rng.integers(0, 1 << n, size=1 << n).tolist(),
+            rng.permutation(1 << n).tolist(),
+            build_simon_oracle(n, 5, rng=n).table,
+        )
+    ]
     for table, n in tables:
         got = [p.hex() for p in y_marginal(table, n)]
         assert got == [p.hex() for p in dict_loop_y_marginal(table, n)], (table, n)
+
+
+def test_y_marginal_of_a_wide_permutation_stays_in_linear_memory():
+    import tracemalloc
+
+    n = 10
+    table = np.random.default_rng(30).permutation(1 << n).tolist()
+    tracemalloc.start()
+    try:
+        probs = y_marginal(table, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 2^n x 2^n integer table alone would take 8 MiB
+    assert peak < 1 << 20
+    assert probs == [2.0**-n] * (1 << n)
 
 
 def test_y_marginal_matches_simulated_round_for_residuals():

@@ -7,14 +7,13 @@ import random
 
 import numpy as np
 import pytest
-from probes import basis_state, marginal, reduced_purity
+from probes import basis_state, marginal, reduced_purity, run_basis
 
 from qgms.circuit import Circuit
 from qgms.sim import (
     QubitCapExceeded,
     extract_bits,
     run,
-    run_basis,
     run_basis_batch,
     sparse_apply,
 )

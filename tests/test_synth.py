@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from probes import bit_matrix, reduced_purity
+from probes import bit_matrix, reduced_purity, run_basis
 
 from qgms.circuit import Circuit, resource_profile
 from qgms.gf2 import (
@@ -21,7 +21,7 @@ from qgms.gf2 import (
     row_echelon_xor_trace,
     rref,
 )
-from qgms.sim import extract_bits, run, run_basis
+from qgms.sim import extract_bits, run
 from qgms.synth import (
     Synthesis,
     _Builder,

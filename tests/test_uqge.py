@@ -5,11 +5,11 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from probes import bit_matrix, marginal, reduced_purity
+from probes import bit_matrix, marginal, reduced_purity, run_basis
 
 from qgms.circuit import Circuit
 from qgms.gf2 import BitMatrix, BitVector, nullspace_basis, rank
-from qgms.sim import extract_bits, run, run_basis
+from qgms.sim import extract_bits, run
 from qgms.synth import kernel_circuit, pack_matrix, unpack_matrix
 
 
