@@ -10,7 +10,6 @@ simulated loop against.
 from __future__ import annotations
 
 import math
-from itertools import islice
 
 import numpy as np
 
@@ -26,25 +25,17 @@ def grover_probability(n_states: int, marked: int, t: int) -> float:
     return math.sin((2 * t + 1) * theta) ** 2
 
 
-def _iterates(prep: Circuit, marked):
-    """Yield (mask, amps) after t = 0, 1, 2, ... iterations from prep|0>.
-
-    The next step negates the marked entries of the yielded array in
-    place, so read it before advancing.
-    """
+def success_curve(prep: Circuit, marked, t_max: int) -> list[float]:
+    """Marked-subspace probability after t = 0..t_max iterations from prep|0>."""
     ref = run(prep).amps
     mask = np.isin(np.arange(len(ref)), list(marked))
     amps = ref.copy()
-    while True:
-        yield mask, amps
+    curve = [float(np.sum(np.abs(amps[mask]) ** 2))]
+    for _ in range(t_max):
         amps[mask] *= -1.0
         amps = 2.0 * np.vdot(ref, amps) * ref - amps
-
-
-def success_curve(prep: Circuit, marked, t_max: int) -> list[float]:
-    """Marked-subspace probability after t = 0..t_max iterations."""
-    steps = islice(_iterates(prep, marked), t_max + 1)
-    return [float(np.sum(np.abs(amps[mask]) ** 2)) for mask, amps in steps]
+        curve.append(float(np.sum(np.abs(amps[mask]) ** 2)))
+    return curve
 
 
 def uniform_prep(qubits: int) -> Circuit:

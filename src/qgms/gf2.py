@@ -1,9 +1,12 @@
 """Dense GF(2) linear algebra on bit-packed matrices.
 
 Rows are stored as Python integers, bit j of a row being column j. All
-arithmetic is XOR/AND, so row operations are single integer ops. The
-scalar routines are the reference; ``orthogonal_table`` answers the same
-kernel questions for every small matrix of one shape at once.
+arithmetic is XOR/AND, so row operations are single integer ops. One
+forward elimination, ``row_echelon``, is under every scalar routine:
+``rref`` adds an upward pass, and rank, nullspace bases and solving (the
+RREF of [A | b]) read the RREF. The scalar routines are the reference;
+``orthogonal_table`` answers the same kernel questions for every small
+matrix of one shape at once.
 """
 
 from __future__ import annotations
@@ -36,14 +39,6 @@ class BitVector:
     def __post_init__(self) -> None:
         if self.length < 0 or self.bits >> self.length:
             raise ValueError("bits do not fit declared length")
-
-    @classmethod
-    def from_list(cls, entries: list[int]) -> BitVector:
-        bits = 0
-        for i, e in enumerate(entries):
-            if e & 1:
-                bits |= 1 << i
-        return cls(len(entries), bits)
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -142,27 +137,6 @@ def row_echelon(a: BitMatrix) -> BitMatrix:
     return m
 
 
-def row_echelon_xor_trace(a: BitMatrix) -> BitMatrix:
-    """Echelon variant that mirrors the reversible circuit's pivot rule.
-
-    Instead of swapping, the pivot step repeatedly XORs lower rows into the
-    pivot row while the diagonal entry is still zero, then eliminates below.
-    The result is row equivalent to the input and upper triangular whenever
-    the leading square block is invertible, but rank-deficient inputs can
-    leave a non-echelon matrix; this matches the circuit bit for bit, which
-    is the point of the function.
-    """
-    m = a.copy()
-    for j in range(min(m.cols, m.rows)):
-        for i in range(j + 1, m.rows):
-            if not m.get(j, j):
-                m.row_bits[j] ^= m.row_bits[i]
-        for k in range(j + 1, m.rows):
-            if m.get(k, j):
-                m.row_bits[k] ^= m.row_bits[j]
-    return m
-
-
 def rref(a: BitMatrix) -> Rref:
     """Reduced row echelon form (canonical: unique per row space).
 
@@ -232,10 +206,9 @@ def row_space(a: BitMatrix) -> set[int]:
 def gaussian_eliminate(a: BitMatrix, b: BitVector) -> BitVector:
     """Solve A x = b for square invertible A.
 
-    Forward elimination is ``row_echelon_xor_trace`` on the augmented
-    matrix [A | b], the reversible circuit's pivot rule; A is invertible
-    exactly when every diagonal entry comes out 1, since step j leaves
-    row j alone afterwards. Back substitution then runs on column n.
+    ``rref`` of the augmented matrix [A | b]: A is invertible exactly when
+    the pivots are columns 0..n-1 (a pivot in column n means no solution),
+    and then bit n of reduced row i is x_i.
 
     Raises:
         SingularMatrix: if A is not invertible.
@@ -245,17 +218,11 @@ def gaussian_eliminate(a: BitMatrix, b: BitVector) -> BitVector:
     if b.length != a.rows:
         raise ValueError("dimension mismatch")
     n = a.rows
-    m = row_echelon_xor_trace(
-        BitMatrix(n, n + 1, [r | (b.get(i) << n) for i, r in enumerate(a.row_bits)])
-    )
-    if not all(m.get(j, j) for j in range(n)):
+    augmented = [row | (b.get(i) << n) for i, row in enumerate(a.row_bits)]
+    r = rref(BitMatrix(n, n + 1, augmented))
+    if r.pivot_cols != list(range(n)):
         raise SingularMatrix("rank deficient")
-    x = [m.get(i, n) for i in range(n)]
-    for j in range(n - 1, 0, -1):
-        for i in range(j - 1, -1, -1):
-            if m.get(i, j):
-                x[i] ^= x[j]
-    return BitVector.from_list(x)
+    return BitVector(n, sum((row >> n) << i for i, row in enumerate(r.matrix.row_bits)))
 
 
 def nullspace_basis(a: BitMatrix) -> list[BitVector]:

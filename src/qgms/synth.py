@@ -100,18 +100,16 @@ class _Builder:
     def flip_if(self, target: int, zeros: Sequence[int], ones: Sequence[int] = ()) -> None:
         """target ^= [all of ``zeros`` read 0 and all of ``ones`` read 1].
 
-        The zero-controls are X-conjugated around one multi-controlled X;
-        with no controls at all the flip is unconditional.
+        One multi-controlled X inside a ``mirrored`` block of X gates on
+        the zero-controls; with no controls at all the flip is
+        unconditional.
         """
-        for q in zeros:
-            self.circ.x(q)
         controls = [*zeros, *ones]
-        if controls:
-            self.circ.mcx(controls, target)
-        else:
-            self.circ.x(target)
-        for q in zeros:
-            self.circ.x(q)
+        with self.mirrored(lambda: [self.circ.x(q) for q in zeros]):
+            if controls:
+                self.circ.mcx(controls, target)
+            else:
+                self.circ.x(target)
 
     def pool_flag(self, zeros: Sequence[int] = (), ones: Sequence[int] = ()) -> int:
         """A pool qubit set to [all of ``zeros`` read 0 and all of ``ones`` read 1]."""

@@ -6,8 +6,11 @@ references compute one value at a time what the package computes in
 tables or batches: ``run_basis`` tracks one basis state gate by gate,
 the reference for ``sim.run_basis_batch`` that also makes exhaustive
 truth-table tests of the reversible constructions cheap;
-``ug_classifier`` and ``hybrid_accept`` are the references for the
-accept tables of ``analysis``.
+``row_echelon_xor_trace`` is the swap-free elimination the QGE solver
+circuit leaves in its matrix register, which ``gf2`` (one pivot search
+with row swaps) does not compute; ``ug_classifier`` and
+``hybrid_accept`` are the references for the accept tables of
+``analysis``.
 """
 
 from __future__ import annotations
@@ -74,6 +77,27 @@ def run_basis(circ: Circuit, bits: int) -> int:
         elif all((bits >> c) & 1 for c in gate.controls):
             bits ^= 1 << gate.targets[0]
     return bits
+
+
+def row_echelon_xor_trace(a: BitMatrix) -> BitMatrix:
+    """Echelon variant that mirrors the reversible circuit's pivot rule.
+
+    Instead of swapping, the pivot step repeatedly XORs lower rows into the
+    pivot row while the diagonal entry is still zero, then eliminates below.
+    The result is row equivalent to the input and upper triangular whenever
+    the leading square block is invertible, but rank-deficient inputs can
+    leave a non-echelon matrix; this matches the circuit bit for bit, which
+    is the point of the function.
+    """
+    m = a.copy()
+    for j in range(min(m.cols, m.rows)):
+        for i in range(j + 1, m.rows):
+            if not m.get(j, j):
+                m.row_bits[j] ^= m.row_bits[i]
+        for k in range(j + 1, m.rows):
+            if m.get(k, j):
+                m.row_bits[k] ^= m.row_bits[j]
+    return m
 
 
 def ug_classifier(k_prime, y_matrix: BitMatrix, oracle: FxOracle, plaintexts) -> int:

@@ -11,7 +11,7 @@ import itertools
 import random
 
 import pytest
-from probes import bit_matrix
+from probes import bit_matrix, row_echelon_xor_trace
 
 from qgms.circuit import QubitCapExceeded
 from qgms.gf2 import (
@@ -26,7 +26,6 @@ from qgms.gf2 import (
     parity,
     rank,
     row_echelon,
-    row_echelon_xor_trace,
     row_space,
     rref,
 )
@@ -47,16 +46,17 @@ def brute_rank(a: BitMatrix) -> int:
 
 
 def test_bitvector_roundtrip():
-    v = BitVector.from_list([1, 0, 1, 1])
-    assert v.bits == 0b1101
-    assert v.get(0) == 1 and v.get(1) == 0
+    v = BitVector(4, 0b1101)
+    assert [v.get(i) for i in range(4)] == [1, 0, 1, 1]
     assert not v.is_zero()
     assert BitVector(3).is_zero()
+    with pytest.raises(ValueError):
+        BitVector(3, 0b1000)
 
 
 def test_bitvector_dot():
-    a = BitVector.from_list([1, 1, 0])
-    b = BitVector.from_list([1, 0, 1])
+    a = BitVector(3, 0b011)
+    b = BitVector(3, 0b101)
     assert parity(a.bits & b.bits) == 1
     assert parity(a.bits & a.bits) == 0
 
@@ -155,19 +155,22 @@ def test_rank_matches_brute_force():
 
 def test_gaussian_eliminate_worked_example():
     a = bit_matrix([[1, 1], [0, 1]])
-    b = BitVector.from_list([1, 1])
+    b = BitVector(2, 0b11)
     assert gaussian_eliminate(a, b).bits == 0b10
 
 
 def test_gaussian_eliminate_exhaustive_invertible():
+    # Every b, so singular systems without a solution (a pivot in
+    # column n of [A | b]) must raise as well as those with many.
     for n in (2, 3):
         for m in all_matrices(n, n):
-            if brute_rank(m) < n:
-                with pytest.raises(SingularMatrix):
-                    gaussian_eliminate(m, BitVector(n))
-                continue
+            singular = brute_rank(m) < n
             for bb in range(1 << n):
                 b = BitVector(n, bb)
+                if singular:
+                    with pytest.raises(SingularMatrix):
+                        gaussian_eliminate(m, b)
+                    continue
                 x = gaussian_eliminate(m, b)
                 assert m.mul_vec(x).bits == b.bits
 

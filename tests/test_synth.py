@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from probes import bit_matrix, reduced_purity, run_basis
+from probes import bit_matrix, reduced_purity, row_echelon_xor_trace, run_basis
 
 from qgms.circuit import Circuit, resource_profile
 from qgms.gf2 import (
@@ -18,7 +18,6 @@ from qgms.gf2 import (
     BitVector,
     gaussian_eliminate,
     rank,
-    row_echelon_xor_trace,
     rref,
 )
 from qgms.sim import extract_bits, run
