@@ -24,11 +24,8 @@ class EnumerationTooLarge(Exception):
     """Brute-force enumeration of 2^((n-1)n) matrices refused for n > 5."""
 
 
+# The brute count's kernel masks hold 2^n bits in a uint32, so n <= 5.
 BRUTE_LIMIT = 5
-# Matrices ranked per chunk of the brute count (n = 5 takes 16 chunks, n <= 4
-# one): the n = 5 count peaks about 3 MB above its start, and one pass over
-# all 2^20 matrices about 31 MB.
-_COUNT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,12 @@ def rank_deficit_one_formula(n: int) -> int:
 def brute_count_rank_n_minus_1(n: int, s: int = 1) -> int:
     """Enumerate every row choice and count rank-(n-1) outcomes.
 
-    The 2^((n-1)n) matrices are ranked in chunks of ``_COUNT_CHUNK``
-    (see ``_chunk_hits``), one after another in the calling thread.
+    Each row value y of the hyperplane is packed into its orthogonal-set
+    mask (bit t set when y . t = 0, from ``dot_zero_table``), and a row
+    tuple's kernel is the AND of its rows' masks: one outer AND per row
+    covers all 2^((n-1)n) tuples. Every row lies in s's hyperplane, so
+    each kernel holds 0 and s, and the rank is n-1 exactly when it holds
+    nothing else.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -63,33 +64,12 @@ def brute_count_rank_n_minus_1(n: int, s: int = 1) -> int:
         )
     if not 0 < s < (1 << n):
         raise ValueError("s must be a nonzero n-bit value")
-    hyperplane = np.flatnonzero(dot_zero_table(n)[:, s]).astype(np.uint8)
-    starts = range(0, 1 << ((n - 1) * n), _COUNT_CHUNK)
-    return sum(_chunk_hits(hyperplane, n, start) for start in starts)
-
-
-def _chunk_hits(hyperplane: np.ndarray, n: int, start: int) -> int:
-    """How many of the ``_COUNT_CHUNK`` matrices from ``start`` have rank n-1.
-
-    Matrix k takes row i from entry (k >> (n-1)i) mod 2^(n-1) of
-    ``hyperplane``. Every matrix gets an XOR basis, built for all of them
-    at once: each row is reduced against the basis from its top bit down,
-    and once it reaches a set bit b that has no basis vector yet, the
-    reduced row becomes basis vector b. The rank is the number of basis
-    vectors. One vectorized pass per row and bit covers the chunk.
-    """
-    bits = n - 1
-    mask = (1 << bits) - 1
-    index = np.arange(start, min(start + _COUNT_CHUNK, 1 << (bits * n)), dtype=np.int64)
-    basis = np.zeros((n, len(index)), dtype=np.uint8)
-    for i in range(n):
-        x = hyperplane[(index >> (bits * i)) & mask]
-        for b in reversed(range(n)):
-            has = (x >> b) & 1
-            basis[b] |= x * (has & (basis[b] == 0))
-            x = np.where(has, x ^ basis[b], x)
-    rank = np.count_nonzero(basis, axis=0)
-    return int(np.count_nonzero(rank == bits))
+    dot = dot_zero_table(n)
+    masks = dot[dot[:, s]] @ (np.uint32(1) << np.arange(1 << n, dtype=np.uint32))
+    kernels = masks
+    for _ in range(n - 1):
+        kernels = np.bitwise_and.outer(kernels, masks).ravel()
+    return int(np.count_nonzero(kernels == (1 | 1 << s)))
 
 
 def count_rank_n_minus_1(n: int) -> CountReport:

@@ -1,11 +1,12 @@
-"""Dense GF(2) linear algebra on bit-packed matrices.
+"""Dense GF(2) linear algebra on bit-packed matrices and vectors.
 
-Rows are stored as Python integers, bit j of a row being column j. All
-arithmetic is XOR/AND, so row operations are single integer ops. One
-forward elimination, ``row_echelon``, is under every scalar routine:
-``rref`` adds an upward pass, and rank, nullspace bases and solving (the
-RREF of [A | b]) read the RREF. The scalar routines are the reference;
-``orthogonal_table`` answers the same kernel questions for every small
+Matrix rows and vectors are Python integers, bit j of a row being column
+j and bit i of a vector being entry i. All arithmetic is XOR/AND, so row
+operations are single integer ops. One forward elimination,
+``row_echelon``, is under every scalar routine: ``rref`` adds an upward
+pass, and rank, nullspace bases and solving (the RREF of [A | b]) read
+the RREF. The scalar routines are the reference; ``dot_zero_table`` and
+``orthogonal_table`` answer the same kernel questions for every small
 matrix of one shape at once.
 """
 
@@ -29,24 +30,9 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-@dataclass
-class BitVector:
-    """Length-n vector over GF(2), packed into one integer (bit i = entry i)."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.length < 0 or self.bits >> self.length:
-            raise ValueError("bits do not fit declared length")
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
+def _check_width(x: int, width: int) -> None:
+    if x < 0 or x >> width:
+        raise ValueError("vector bits do not fit its length")
 
 
 @dataclass
@@ -81,15 +67,16 @@ class BitMatrix:
     def copy(self) -> BitMatrix:
         return BitMatrix(self.rows, self.cols, list(self.row_bits))
 
-    def mul_vec(self, x: BitVector) -> BitVector:
-        """Matrix-vector product A @ x over GF(2)."""
-        if x.length != self.cols:
-            raise ValueError("dimension mismatch")
-        bits = 0
-        for i, r in enumerate(self.row_bits):
-            if parity(r & x.bits):
-                bits |= 1 << i
-        return BitVector(self.rows, bits)
+    def mul_vec(self, x: int) -> int:
+        """Matrix-vector product A @ x over GF(2), on packed vectors.
+
+        Bit j of ``x`` is x_j, and bit i of the result is (A x)_i.
+
+        Raises:
+            ValueError: if ``x`` is negative or has a bit at or past ``cols``.
+        """
+        _check_width(x, self.cols)
+        return sum(parity(r & x) << i for i, r in enumerate(self.row_bits))
 
 
 @dataclass
@@ -203,8 +190,8 @@ def row_space(a: BitMatrix) -> set[int]:
 # Solving
 
 
-def gaussian_eliminate(a: BitMatrix, b: BitVector) -> BitVector:
-    """Solve A x = b for square invertible A.
+def gaussian_eliminate(a: BitMatrix, b: int) -> int:
+    """Solve A x = b for square invertible A, on packed vectors (bit i = b_i).
 
     ``rref`` of the augmented matrix [A | b]: A is invertible exactly when
     the pivots are columns 0..n-1 (a pivot in column n means no solution),
@@ -212,36 +199,32 @@ def gaussian_eliminate(a: BitMatrix, b: BitVector) -> BitVector:
 
     Raises:
         SingularMatrix: if A is not invertible.
+        ValueError: if ``b`` is negative or has a bit at or past ``rows``.
     """
     if a.rows != a.cols:
         raise SingularMatrix("matrix is not square")
-    if b.length != a.rows:
-        raise ValueError("dimension mismatch")
+    _check_width(b, a.rows)
     n = a.rows
-    augmented = [row | (b.get(i) << n) for i, row in enumerate(a.row_bits)]
+    augmented = [row | ((b >> i) & 1) << n for i, row in enumerate(a.row_bits)]
     r = rref(BitMatrix(n, n + 1, augmented))
     if r.pivot_cols != list(range(n)):
         raise SingularMatrix("rank deficient")
-    return BitVector(n, sum((row >> n) << i for i, row in enumerate(r.matrix.row_bits)))
+    return sum((row >> n) << i for i, row in enumerate(r.matrix.row_bits))
 
 
-def nullspace_basis(a: BitMatrix) -> list[BitVector]:
+def nullspace_basis(a: BitMatrix) -> list[int]:
     """Basis of {x : A x = 0} from the free-column pattern of the RREF.
 
-    Each free column f yields one basis vector: entry f is 1, entry p is
-    R[i, f] for every pivot column p (owned by row i), all else 0.
+    Each free column f yields one packed basis vector: bit f is 1, bit p
+    is R[i, f] for every pivot column p (owned by row i), all else 0.
     """
     r = rref(a)
     pivots = r.pivot_cols
-    free_cols = [j for j in range(a.cols) if j not in pivots]
-    basis = []
-    for f in free_cols:
-        bits = 1 << f
-        for i, p in enumerate(pivots):
-            if r.matrix.get(i, f):
-                bits |= 1 << p
-        basis.append(BitVector(a.cols, bits))
-    return basis
+    return [
+        1 << f | sum(r.matrix.get(i, f) << p for i, p in enumerate(pivots))
+        for f in range(a.cols)
+        if f not in pivots
+    ]
 
 
 def dot_zero_table(n: int) -> np.ndarray:

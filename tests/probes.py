@@ -112,7 +112,7 @@ def ug_classifier(k_prime, y_matrix: BitMatrix, oracle: FxOracle, plaintexts) ->
     basis = nullspace_basis(y_matrix)
     if len(basis) != 1:
         return 0
-    s = basis[0].bits
+    s = basis[0]
     for p in plaintexts:
         if oracle.residual(k_prime, p) != oracle.residual(k_prime, p ^ s):
             return 0

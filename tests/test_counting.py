@@ -93,7 +93,7 @@ def span_sort_count(n, s):
     return int(np.count_nonzero(distinct == 1 << bits))
 
 
-def test_xor_basis_count_matches_span_sort_for_every_s():
+def test_kernel_mask_count_matches_span_sort_for_every_s():
     for n in (2, 3, 4):
         for s in range(1, 1 << n):
             assert brute_count_rank_n_minus_1(n, s) == span_sort_count(n, s)
@@ -104,11 +104,15 @@ def test_exhaustive_n5_count_is_hyperplane_independent():
         assert brute_count_rank_n_minus_1(5, s) == 624960
 
 
-def test_chunked_count_with_a_partial_last_chunk(monkeypatch):
-    from qgms import counting
+def test_exhaustive_n5_count_holds_one_kernel_mask_per_matrix():
+    import tracemalloc
 
-    monkeypatch.setattr(counting, "_COUNT_CHUNK", 1000)
-    for n in (2, 3, 4):
-        for s in range(1, 1 << n):
-            assert brute_count_rank_n_minus_1(n, s) == rank_deficit_one_formula(n), (n, s)
-    assert brute_count_rank_n_minus_1(5) == 624960
+    tracemalloc.start()
+    try:
+        count = brute_count_rank_n_minus_1(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2^20 uint32 kernels take 4 MiB; one int64 per matrix would take 8
+    assert peak <= 8 << 20
+    assert count == 624960

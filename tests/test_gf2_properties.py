@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qgms.gf2 import (
     BitMatrix,
-    BitVector,
     is_rref,
     nullspace_basis,
     orthogonal_table,
@@ -26,8 +25,8 @@ def matrices(draw, max_rows=9, max_cols=9):
     return BitMatrix(rows, cols, bits)
 
 
-def stacked(vectors: list[BitVector], cols: int) -> BitMatrix:
-    return BitMatrix(len(vectors), cols, [v.bits for v in vectors])
+def stacked(vectors: list[int], cols: int) -> BitMatrix:
+    return BitMatrix(len(vectors), cols, vectors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -36,7 +35,7 @@ def test_rank_plus_nullity_is_column_count(a):
     basis = nullspace_basis(a)
     assert rank(a) + len(basis) == a.cols
     for v in basis:
-        assert a.mul_vec(v).is_zero()
+        assert a.mul_vec(v) == 0
     if basis:
         assert rank(stacked(basis, a.cols)) == len(basis)
 
@@ -58,7 +57,7 @@ def test_orthogonal_table_lists_the_kernel(n, l, data):
     a = BitMatrix(l, n, [(ybits >> (n * j)) & ((1 << n) - 1) for j in range(l)])
     kernel = {0}
     for v in nullspace_basis(a):
-        kernel |= {k ^ v.bits for k in kernel}
+        kernel |= {k ^ v for k in kernel}
     row = orthogonal_table(n, l)[ybits]
     assert {int(s) for s in np.flatnonzero(row)} == kernel
     assert (int(row[1:].sum()) == 1) == (rank(a) == n - 1)
