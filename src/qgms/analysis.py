@@ -243,26 +243,11 @@ def build_gms_circuit(cfg: GmsConfig) -> tuple[Circuit, dict[str, tuple[int, int
     prep_end = len(circ.gates)
     with bld.mirrored(compute) as accept:
         circ.registers.update(s=tuple(s_out), flag=(flag,), accept=(accept,))
-        # --- phase flip on the accept qubit (Z = H X H)
         phase_start = len(circ.gates)
-        circ.h(accept)
-        circ.x(accept)
-        circ.h(accept)
+        circ.extend(_phase_gates(accept))
         phase_end = len(circ.gates)
-    # --- diffusion about the mean over the data register
     diffusion_start = len(circ.gates)
-    data = list(range(cfg.data_qubits))
-    for q in data:
-        circ.h(q)
-    for q in data:
-        circ.x(q)
-    circ.h(data[-1])
-    circ.mcx(data[:-1], data[-1])
-    circ.h(data[-1])
-    for q in data:
-        circ.x(q)
-    for q in data:
-        circ.h(q)
+    circ.extend(_diffusion_gates(list(range(cfg.data_qubits))))
     return circ, {
         "prep": (0, prep_end),
         "compute": (prep_end, phase_start),
@@ -272,44 +257,56 @@ def build_gms_circuit(cfg: GmsConfig) -> tuple[Circuit, dict[str, tuple[int, int
     }
 
 
+def _phase_gates(accept: int) -> list[Gate]:
+    """Z on the accept qubit, as H X H."""
+    return [Gate("H", (accept,)), Gate("X", (accept,)), Gate("H", (accept,))]
+
+
+def _diffusion_gates(qubits: list[int]) -> list[Gate]:
+    """I - (2/2^d) J on the d ``qubits``: H and X on each, Z on all ones (H MCX H), X, H."""
+    circ = Circuit(max(qubits) + 1)
+    for q in qubits:
+        circ.h(q)
+    for q in qubits:
+        circ.x(q)
+    circ.h(qubits[-1])
+    circ.mcx(qubits[:-1], qubits[-1])
+    circ.h(qubits[-1])
+    for q in qubits:
+        circ.x(q)
+    for q in qubits:
+        circ.h(q)
+    return circ.gates
+
+
 def _check_round(
-    cfg: GmsConfig,
-    circ: Circuit,
-    slices: dict[str, tuple[int, int]],
-    flip: np.ndarray,
-    amps: np.ndarray,
+    cfg: GmsConfig, circ: Circuit, slices: dict[str, tuple[int, int]], flip: np.ndarray
 ) -> None:
     """Prove that one round of ``circ`` is the operator ``analysis_report`` applies.
 
     That operator negates the data states on ``flip`` and then reflects
-    the data register about its mean. Compute and uncompute are
-    permutations, so pushing every data input through them settles the
-    phase flip exactly; the diffusion slice is checked on ``amps``.
+    the data register about its mean. Phase and diffusion must be their
+    fixed gate lists, and uncompute must be compute reversed, its exact
+    inverse since every gate is its own inverse. Compute permutes basis
+    states, so pushing every data input through it and reading the
+    accept bit settles the phase flip exactly.
 
     Raises:
         RuntimeError: naming the first slice that does something else.
     """
+    compute, phase, uncompute, diffusion = (
+        circ.gates[slice(*slices[k])] for k in ("compute", "phase", "uncompute", "diffusion")
+    )
     accept = circ.registers["accept"][0]
-    lo, hi = slices["phase"]
-    z = [Gate("H", (accept,)), Gate("X", (accept,)), Gate("H", (accept,))]
-    if circ.gates[lo:hi] != z:
+    if phase != _phase_gates(accept):
         raise RuntimeError("phase slice is not Z on the accept qubit")
-    lo, hi = slices["diffusion"]
-    if any(max(g.qubits) >= cfg.data_qubits for g in circ.gates[lo:hi]):
-        raise RuntimeError("diffusion slice leaves the data register")
-    diffusion = Circuit(cfg.data_qubits, gates=circ.gates[lo:hi])
-    got = sim.run(diffusion, state=sim.StateVector(cfg.data_qubits, amps)).amps
-    if not np.max(np.abs(got - (amps - 2.0 * amps.mean()))) <= 1e-12:
+    if uncompute != compute[::-1]:
+        raise RuntimeError("uncompute slice is not the compute slice reversed")
+    if diffusion != _diffusion_gates(list(range(cfg.data_qubits))):
         raise RuntimeError("diffusion slice is not the reflection about the mean")
-    # run last, so that the diffusion check (the memory peak) runs without these arrays
-    data = np.arange(1 << cfg.data_qubits, dtype=np.int64)
-    lo, hi = slices["compute"]
-    out = sim.run_basis_batch(circ.gates[lo:hi], data)
+    out = sim.run_basis_batch(compute, np.arange(1 << cfg.data_qubits, dtype=np.int64))
     if not np.array_equal((out >> accept) & 1 == 1, flip):
         raise RuntimeError("accept qubit disagrees with the classifier mask")
-    lo, hi = slices["uncompute"]
-    if not np.array_equal(sim.run_basis_batch(circ.gates[lo:hi], out), data):
-        raise RuntimeError("scratch register failed to uncompute")
 
 
 def run_gms_per_gate(cfg: GmsConfig, t_max: int) -> list[float]:
@@ -698,7 +695,7 @@ def analysis_report(cfg: GmsConfig, t_max: int) -> dict:
     accept_stats = amplitude_stats(amps, flip)
     rank_stats = amplitude_stats(amps, rank_only)
     circ, slices = build_gms_circuit(cfg)
-    _check_round(cfg, circ, slices, flip, amps)
+    _check_round(cfg, circ, slices, flip)
     curve = [float(np.sum(np.abs(amps[success]) ** 2))]
     for _ in range(t_max):
         amps[flip] *= -1.0

@@ -47,7 +47,7 @@ one gate of the set that does not permute basis states:
   cancellation leaves.
 
 The search analysis uses ``run_basis_batch`` to prove, once per
-configuration, what one amplification round does to every basis input.
+configuration, what a round's compute slice does to every basis input.
 """
 
 from __future__ import annotations

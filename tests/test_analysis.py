@@ -29,6 +29,7 @@ from qgms.analysis import (
     success_mask,
     two_to_one_model,
 )
+from qgms.circuit import Circuit
 from qgms.counting import rank_deficit_one_formula
 from qgms.gf2 import BitMatrix
 from qgms.oracles import build_fx_oracle, y_marginal
@@ -267,7 +268,7 @@ def test_round_proof_rejects_a_wrong_accept_bit(monkeypatch):
 @pytest.mark.parametrize(
     "piece, offset, message",
     [
-        ("uncompute", 0, "scratch register failed to uncompute"),
+        ("uncompute", 0, "compute slice reversed"),
         ("phase", 1, "phase slice"),
         ("diffusion", 0, "diffusion slice"),
     ],
@@ -291,8 +292,17 @@ def test_round_proof_rejects_a_missing_gate(monkeypatch, piece, offset, message)
     if piece == "uncompute":
         # the per-gate reference sees the dirty scratch once the state has
         # marked mass, which the fixture's prepared state lacks (t = 1)
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(RuntimeError, match="scratch register failed to uncompute"):
             run_gms_per_gate(fixture_cfg(), t_max=2)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_diffusion_gates_are_the_reflection_about_the_mean(d):
+    # every basis column at once: the dense engine runs a 2-D state column by column
+    circ = Circuit(d, gates=analysis._diffusion_gates(list(range(d))))
+    got = sim.run(circ, state=sim.StateVector(d, np.eye(1 << d, dtype=np.complex128))).amps
+    want = np.eye(1 << d) - 2.0 / (1 << d)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_search_circuit_keeps_scratch_clean():

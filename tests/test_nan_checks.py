@@ -96,23 +96,6 @@ def small_config():
     return GmsConfig(1, 2, 1, build_fx_oracle(1, 2, 0, 3, 1, cipher_seed=72))
 
 
-def test_a_nan_diffusion_amplitude_fails_the_round_proof(monkeypatch):
-    cfg = small_config()
-    amps = analysis.prepare_initial_state(cfg).amps
-    flip = analysis.classifier_mask(cfg)
-    circ, slices = analysis.build_gms_circuit(cfg)
-    real = sim.run
-
-    def nan_second_amplitude(c, state=None):
-        out = real(c, state=state)
-        out.amps[1] = np.nan
-        return out
-
-    monkeypatch.setattr(sim, "run", nan_second_amplitude)
-    with pytest.raises(RuntimeError, match="reflection about the mean"):
-        analysis._check_round(cfg, circ, slices, flip, amps)
-
-
 def test_nan_scratch_mass_fails_the_per_gate_run(monkeypatch):
     real = sim.sparse_apply
 
